@@ -478,7 +478,8 @@ def emit_plot_data(
 
     Kinds: ``allocation`` (per-slice bandwidth shares), ``scores`` (per-slice
     scores plus utility), ``latency`` (worst-case latency per slot), and
-    ``epsilon-sweep`` (aligned latency columns, one per input file).
+    ``epsilon-sweep`` (aligned training-slot latency columns, one per input
+    file).
     An empty metrics file yields a header-only CSV.
     """
     if kind not in PLOT_KINDS:
@@ -516,7 +517,7 @@ def emit_plot_data(
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         if kind == "epsilon-sweep":
-            runs = [load_metrics(p) for p in paths]
+            runs = [[r for r in load_metrics(p) if r["phase"] == "train"] for p in paths]
             labels = []
             for run, path in zip(runs, paths):
                 eps = run[0].get("epsilon") if run else None
@@ -547,7 +548,8 @@ def sweep_epsilon(
     Every run uses the identical master seed, so the arrival sequence is
     shared across epsilon values and differences are purely behavioral.
     Returns summary stats and writes one metrics file per epsilon plus an
-    aligned-latency CSV.
+    aligned-latency CSV; both cover the training slots only, while each
+    metrics file also holds the config's greedy eval slots.
     """
     if config.scenario != "mec" or config.policy != "dqn":
         raise ConfigError("the epsilon sweep applies to mec runs with the dqn policy")
@@ -567,11 +569,11 @@ def sweep_epsilon(
             env=config.env,
             agent_overrides=overrides,
             total_steps=config.total_steps,
+            eval_slots=config.eval_slots,
         )
         path = base_dir / f"metrics-mec-dqn-eps{eps}-seed{config.seed}.jsonl"
         run_experiment(run_cfg, path)
-        records = load_metrics(path)
-        series = [r["L_max"] for r in records]
+        series = [r["L_max"] for r in load_metrics(path) if r["phase"] == "train"]
         summaries.append(
             {
                 "epsilon": float(eps),

@@ -1,16 +1,23 @@
 """Minimal dense-network toolkit in double precision.
 
 Small fully-connected networks with hand-rolled forward/backward passes,
-adaptive-moment (Adam) parameter updates, and Polyak target blending.
-Networks are plain dataclasses of numpy arrays so they deep-copy, serialize,
-and diff without framework machinery. Hidden layers use a rectifier; the
-output layer is either linear or tanh-squashed.
+adaptive-moment (Adam) parameter updates, and Polyak target blending. Hidden
+layers use a rectifier; the output layer is either linear or tanh-squashed.
+
+Each network keeps its parameters in one contiguous float64 vector,
+``Mlp.flat``, layer by layer (row-major weight matrix, then bias);
+``weights[l]`` and ``biases[l]`` are views into it. Gradients and Adam
+moments share that layout, so an update, a copy or a checkpoint is a few
+whole-vector operations. ``adam_step`` and ``soft_update`` work in two
+scratch vectors shared by all networks (sized to the largest seen, reused
+across calls; not thread-safe), and apply their elementwise operations in a
+fixed order, so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +26,40 @@ Array = np.ndarray
 OUTPUT_ACTIVATIONS = ("linear", "tanh")
 
 
-@dataclass
+def _flat_size(sizes: tuple[int, ...]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(flat: Array, sizes: tuple[int, ...]) -> tuple[list[Array], list[Array]]:
+    """Per-layer weight and bias views into a vector laid out like ``Mlp.flat``."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = offset + fan_out * fan_in
+        weights.append(flat[offset:end].reshape(fan_out, fan_in))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
 class Mlp:
-    """Parameters of a fully-connected network.
+    """Parameters of a fully-connected network, stored in ``flat``.
 
     ``weights[l]`` has shape ``(layer_sizes[l+1], layer_sizes[l])`` and acts on
     column ``l`` activations from the left; ``biases[l]`` has length
-    ``layer_sizes[l+1]``.
+    ``layer_sizes[l+1]``. Both are views into ``flat``, which the network
+    adopts as is (no copy).
     """
 
-    layer_sizes: tuple[int, ...]
-    weights: list[Array]
-    biases: list[Array]
-    output_activation: str = "linear"
+    def __init__(
+        self, layer_sizes: tuple[int, ...], flat: Array, output_activation: str = "linear"
+    ):
+        self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        n = _flat_size(self.layer_sizes)
+        if flat.dtype != np.float64 or flat.shape != (n,):
+            raise ValueError(f"layer sizes {self.layer_sizes} need {n} floats, got {flat.shape}")
+        self.flat = flat
+        self.output_activation = output_activation
+        self.weights, self.biases = _layer_views(flat, self.layer_sizes)
 
     @property
     def n_layers(self) -> int:
@@ -46,15 +74,10 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            output_activation=self.output_activation,
-        )
+        return Mlp(self.layer_sizes, self.flat.copy(), self.output_activation)
 
 
 @dataclass
@@ -75,11 +98,13 @@ class ForwardCache:
 class Gradients:
     """Loss gradients w.r.t. parameters and the network input.
 
-    Parameter gradients are summed over the batch; ``wrt_input`` keeps one row
-    per batch element (needed to push a critic's action-gradient into an
-    actor).
+    Parameter gradients are summed over the batch and laid out like
+    ``Mlp.flat``; ``weights[l]`` and ``biases[l]`` are views into ``flat``.
+    ``wrt_input`` keeps one row per batch element (needed to push a critic's
+    action-gradient into an actor).
     """
 
+    flat: Array
     weights: list[Array]
     biases: list[Array]
     wrt_input: Array
@@ -106,13 +131,11 @@ def mlp_init(
             f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
         )
     gen = np.random.default_rng(rng)
-    weights: list[Array] = []
-    biases: list[Array] = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(gen.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(sizes, weights, biases, output_activation)
+    mlp = Mlp(sizes, np.zeros(_flat_size(sizes)), output_activation)
+    for w in mlp.weights:
+        bound = 1.0 / math.sqrt(w.shape[1])
+        w[...] = gen.uniform(-bound, bound, size=w.shape)
+    return mlp
 
 
 def _as_batch(x: Array, dim: int, what: str) -> tuple[Array, bool]:
@@ -169,68 +192,73 @@ def mlp_gradients(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Gradient
         g = gy * (1.0 - out * out)
     else:
         g = gy
-    w_grads: list[Array] = [None] * mlp.n_layers  # type: ignore[list-item]
-    b_grads: list[Array] = [None] * mlp.n_layers  # type: ignore[list-item]
+    flat = np.empty(mlp.flat.size)
+    w_grads, b_grads = _layer_views(flat, mlp.layer_sizes)
     for l in range(mlp.n_layers - 1, -1, -1):
-        a_prev = cache.activations[l]
-        w_grads[l] = g.T @ a_prev
-        b_grads[l] = g.sum(axis=0)
+        np.matmul(g.T, cache.activations[l], out=w_grads[l])
+        np.sum(g, axis=0, out=b_grads[l])
         g = g @ mlp.weights[l]
         if l > 0:
             g = g * (cache.activations[l] > 0.0)
     wrt_input = g[0] if squeeze else g
-    return Gradients(w_grads, b_grads, wrt_input)
+    return Gradients(flat, w_grads, b_grads, wrt_input)
 
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators for one network."""
+    """First/second-moment accumulators for one network, laid out like ``Mlp.flat``."""
 
     learning_rate: float
+    m: Array
+    v: Array
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    m_weights: list[Array] = field(default_factory=list)
-    v_weights: list[Array] = field(default_factory=list)
-    m_biases: list[Array] = field(default_factory=list)
-    v_biases: list[Array] = field(default_factory=list)
 
 
 def adam_init(mlp: Mlp, learning_rate: float) -> AdamState:
     if not (learning_rate > 0.0 and math.isfinite(learning_rate)):
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
-    return AdamState(
-        learning_rate=learning_rate,
-        m_weights=[np.zeros_like(w) for w in mlp.weights],
-        v_weights=[np.zeros_like(w) for w in mlp.weights],
-        m_biases=[np.zeros_like(b) for b in mlp.biases],
-        v_biases=[np.zeros_like(b) for b in mlp.biases],
-    )
+    return AdamState(learning_rate, np.zeros_like(mlp.flat), np.zeros_like(mlp.flat))
+
+
+# The two work vectors of adam_step and soft_update. Shared by all networks rather
+# than kept per optimizer, so resident memory does not grow with the network count.
+_scratch = [np.empty(0), np.empty(0)]
+
+
+def _scratch_pair(n: int) -> tuple[Array, Array]:
+    if _scratch[0].size < n:
+        _scratch[:] = [np.empty(n), np.empty(n)]
+    return _scratch[0][:n], _scratch[1][:n]
 
 
 def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
-    """Apply one Adam update in place (bias-corrected moments)."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient passed to adam_step")
+    """Apply one Adam update in place (Kingma & Ba, Algorithm 1: bias-corrected moments)."""
+    g, p, m, v = grads.flat, mlp.flat, state.m, state.v
+    if not g.shape == p.shape == m.shape == v.shape:
+        raise ValueError(f"shape mismatch: gradients {g.shape}, parameters {p.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient passed to adam_step")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    params = mlp.weights + mlp.biases
-    grad_list = grads.weights + grads.biases
-    m_list = state.m_weights + state.m_biases
-    v_list = state.v_weights + state.v_biases
-    for p, g, m, v in zip(params, grad_list, m_list, v_list):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / corr1
-        v_hat = v / corr2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    s1, s2 = _scratch_pair(p.size)
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s1)
+    m += s1
+    v *= b2
+    np.multiply(g, g, out=s1)
+    s1 *= 1.0 - b2
+    v += s1
+    np.divide(m, 1.0 - b1**t, out=s1)
+    s1 *= state.learning_rate
+    np.divide(v, 1.0 - b2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += state.epsilon
+    s1 /= s2
+    p -= s1
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
@@ -244,81 +272,39 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
         raise ValueError(
             f"shape mismatch: target {target.layer_sizes} vs online {online.layer_sizes}"
         )
-    for tp, op in zip(target.weights + target.biases, online.weights + online.biases):
-        tp *= 1.0 - tau
-        tp += tau * op
+    s, _ = _scratch_pair(online.flat.size)
+    np.multiply(online.flat, tau, out=s)
+    target.flat *= 1.0 - tau
+    target.flat += s
 
 
 def mlp_to_payload(mlp: Mlp) -> dict:
-    """JSON-safe snapshot: layer sizes, output activation, row-major values."""
-    params = []
-    for l in range(mlp.n_layers):
-        params.append(
-            {"layer": l, "kind": "weight", "values": mlp.weights[l].ravel().tolist()}
-        )
-        params.append({"layer": l, "kind": "bias", "values": mlp.biases[l].tolist()})
+    """JSON-safe snapshot: layer sizes, output activation, the flat parameters."""
     return {
         "layer_sizes": list(mlp.layer_sizes),
         "output_activation": mlp.output_activation,
-        "params": params,
+        "params": mlp.flat.tolist(),
     }
 
 
 def mlp_from_payload(payload: dict) -> Mlp:
     """Rebuild a network from :func:`mlp_to_payload` output."""
-    sizes = tuple(int(s) for s in payload["layer_sizes"])
     act = payload["output_activation"]
     if act not in OUTPUT_ACTIVATIONS:
         raise ValueError(f"unknown output activation {act!r}")
-    n_layers = len(sizes) - 1
-    weights: list[Array] = [None] * n_layers  # type: ignore[list-item]
-    biases: list[Array] = [None] * n_layers  # type: ignore[list-item]
-    for entry in payload["params"]:
-        l = int(entry["layer"])
-        if not 0 <= l < n_layers:
-            raise ValueError(f"layer index {l} out of range for {sizes}")
-        values = np.asarray(entry["values"], dtype=float)
-        if entry["kind"] == "weight":
-            weights[l] = values.reshape(sizes[l + 1], sizes[l])
-        elif entry["kind"] == "bias":
-            if values.shape != (sizes[l + 1],):
-                raise ValueError(f"bias length {values.shape} wrong for layer {l}")
-            biases[l] = values
-        else:
-            raise ValueError(f"unknown param kind {entry['kind']!r}")
-    if any(w is None for w in weights) or any(b is None for b in biases):
-        raise ValueError("snapshot is missing parameters for some layer")
-    return Mlp(sizes, weights, biases, act)
+    return Mlp(payload["layer_sizes"], np.asarray(payload["params"], dtype=float), act)
 
 
 def adam_to_payload(state: AdamState) -> dict:
-    return {
-        "learning_rate": state.learning_rate,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "epsilon": state.epsilon,
-        "step_count": state.step_count,
-        "m_weights": [m.ravel().tolist() for m in state.m_weights],
-        "v_weights": [v.ravel().tolist() for v in state.v_weights],
-        "m_biases": [m.tolist() for m in state.m_biases],
-        "v_biases": [v.tolist() for v in state.v_biases],
-    }
+    return dict(vars(state), m=state.m.tolist(), v=state.v.tolist())
 
 
 def adam_from_payload(payload: dict, mlp: Mlp) -> AdamState:
+    m, v = (np.asarray(payload[key], dtype=float) for key in ("m", "v"))
+    if not m.shape == v.shape == mlp.flat.shape:
+        raise ValueError(f"moments must hold {mlp.flat.size} values each")
     state = adam_init(mlp, payload["learning_rate"])
-    state.beta1 = payload["beta1"]
-    state.beta2 = payload["beta2"]
-    state.epsilon = payload["epsilon"]
-    state.step_count = int(payload["step_count"])
-    state.m_weights = [
-        np.asarray(m, dtype=float).reshape(w.shape)
-        for m, w in zip(payload["m_weights"], mlp.weights)
-    ]
-    state.v_weights = [
-        np.asarray(v, dtype=float).reshape(w.shape)
-        for v, w in zip(payload["v_weights"], mlp.weights)
-    ]
-    state.m_biases = [np.asarray(m, dtype=float) for m in payload["m_biases"]]
-    state.v_biases = [np.asarray(v, dtype=float) for v in payload["v_biases"]]
+    state.beta1, state.beta2 = payload["beta1"], payload["beta2"]
+    state.epsilon, state.step_count = payload["epsilon"], int(payload["step_count"])
+    state.m, state.v = m, v
     return state

@@ -94,9 +94,10 @@ class ReplayBuffer:
         if n > self._size:
             raise ValueError(f"asked for {n} transitions but buffer holds {self._size}")
         idx = rng.integers(0, self._size, size=n)
+        # Integer-array indexing copies, so the batch never aliases the storage.
         return Batch(
-            states=self._states[idx].copy(),
-            actions=self._actions[idx].copy(),
-            rewards=self._rewards[idx].copy(),
-            next_states=self._next_states[idx].copy(),
+            states=self._states[idx],
+            actions=self._actions[idx],
+            rewards=self._rewards[idx],
+            next_states=self._next_states[idx],
         )

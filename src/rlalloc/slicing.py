@@ -114,11 +114,11 @@ class SliceConfig:
         """Demand vector in force at 1-based step ``step`` (analytic mode)."""
         if self.demands is None:
             raise ValueError("no demand vector: config is not in analytic mode")
-        current = self.demands
-        for change_step in sorted(self.demand_changes):
-            if step > change_step:
-                current = self.demand_changes[change_step]
-        return current
+        latest = None  # the largest change step before ``step``
+        for change_step in self.demand_changes:
+            if change_step < step and (latest is None or change_step > latest):
+                latest = change_step
+        return self.demands if latest is None else self.demand_changes[latest]
 
     def to_dict(self) -> dict:
         payload: dict = {

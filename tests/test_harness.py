@@ -394,6 +394,18 @@ def test_sweep_epsilon_shares_arrivals(tmp_path):
     assert len(csv_rows) == 41
 
 
+def test_sweep_epsilon_keeps_eval_slots(tmp_path):
+    cfg = mec_config("dqn", total_steps=40, eval_slots=50)
+    result = sweep_epsilon(cfg, [0.2, 0.8], out_dir=tmp_path / "sweep")
+    for path in result["metrics_paths"]:
+        phases = [r["phase"] for r in load_metrics(path)]
+        assert phases == ["train"] * 40 + ["eval"] * 50
+    # The summary and the CSV cover the training slots only, as without eval slots.
+    plain = sweep_epsilon(mec_config("dqn", total_steps=40), [0.2, 0.8], tmp_path / "plain")
+    assert result["runs"] == plain["runs"]
+    assert Path(result["csv_path"]).read_bytes() == Path(plain["csv_path"]).read_bytes()
+
+
 def test_sweep_epsilon_guards(tmp_path):
     with pytest.raises(ConfigError):
         sweep_epsilon(mec_config("rra"), [0.1], out_dir=tmp_path)

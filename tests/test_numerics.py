@@ -109,8 +109,8 @@ def test_forward_matches_hand_computation():
     b0 = np.array([0.01, -0.02, 0.03])
     w1 = np.array([[0.7, -0.8, 0.9]])
     b1 = np.array([0.05])
-    mlp = Mlp(layer_sizes=(2, 3, 1), weights=[w0, w1], biases=[b0, b1],
-              output_activation="tanh")
+    flat = np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
+    mlp = Mlp(layer_sizes=(2, 3, 1), flat=flat, output_activation="tanh")
     x = np.array([0.5, -1.5])
     hidden = np.maximum(w0 @ x + b0, 0.0)
     expected = np.tanh(w1 @ hidden + b1)
@@ -293,10 +293,22 @@ def test_adam_payload_round_trip():
     restored = adam_from_payload(adam_to_payload(state), mlp)
     assert restored.step_count == state.step_count
     assert restored.learning_rate == state.learning_rate
-    for a, b in zip(restored.m_weights, state.m_weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(restored.v_biases, state.v_biases):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(restored.m, state.m)
+    np.testing.assert_array_equal(restored.v, state.v)
+    assert restored.m.shape == restored.v.shape == (mlp.parameter_count(),)
+
+
+def test_payloads_reject_wrong_lengths():
+    rng = np.random.default_rng(13)
+    mlp = mlp_init([2, 4, 1], "linear", rng=rng)
+    payload = mlp_to_payload(mlp)
+    payload["params"] = payload["params"][:-1]
+    with pytest.raises(ValueError):
+        mlp_from_payload(payload)
+    state_payload = adam_to_payload(adam_init(mlp, learning_rate=0.02))
+    state_payload["v"] = [0.0]
+    with pytest.raises(ValueError):
+        adam_from_payload(state_payload, mlp)
 
 
 def test_copy_is_deep():
@@ -305,3 +317,51 @@ def test_copy_is_deep():
     clone = mlp.copy()
     clone.weights[0][0, 0] += 100.0
     assert mlp.weights[0][0, 0] != clone.weights[0][0, 0]
+
+
+def layers(net):
+    """A network's (or gradient's) arrays in flat-layout order: w0, b0, w1, b1, ..."""
+    return [a for pair in zip(net.weights, net.biases) for a in pair]
+
+
+def test_flat_layout_and_whole_vector_updates_match_per_layer_formulas():
+    rng = np.random.default_rng(12)
+    mlp = mlp_init([5, 7, 6, 3], "tanh", rng=rng)
+    # One vector, layer by layer (weights row-major, then bias), seen through views.
+    assert mlp.flat.shape == (mlp.parameter_count(),)
+    assert all(np.shares_memory(a, mlp.flat) for a in layers(mlp))
+    np.testing.assert_array_equal(mlp.flat, np.concatenate([a.ravel() for a in layers(mlp)]))
+    clone = mlp.copy()
+    assert not np.shares_memory(clone.flat, mlp.flat)
+    assert all(np.shares_memory(a, clone.flat) for a in layers(clone))
+
+    # Reference: Adam applied layer by layer, element by element.
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    state = adam_init(mlp, learning_rate=lr)
+    ref = [a.copy() for a in layers(mlp)]
+    ref_m = [np.zeros_like(a) for a in ref]
+    ref_v = [np.zeros_like(a) for a in ref]
+    x = rng.normal(size=(4, 5))
+    for t in range(1, 4):
+        y, cache = mlp_forward(mlp, x)
+        grads = mlp_gradients(mlp, cache, y - 0.5)
+        assert all(np.shares_memory(g, grads.flat) for g in layers(grads))
+        for p, g, m, v in zip(ref, layers(grads), ref_m, ref_v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_step(mlp, grads, state)
+        assert all(np.array_equal(p, q) for p, q in zip(ref, layers(mlp)))
+
+    # Polyak blend, per layer.
+    tau = 0.3
+    ref = [a.copy() for a in layers(clone)]
+    for tp, op in zip(ref, layers(mlp)):
+        tp *= 1.0 - tau
+        tp += tau * op
+    soft_update(clone, mlp, tau)
+    assert all(np.array_equal(p, q) for p, q in zip(ref, layers(clone)))

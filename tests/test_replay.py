@@ -49,6 +49,18 @@ def test_sample_shapes_vector_actions():
     assert batch.next_states.shape == (4, 3)
 
 
+def test_mutating_a_sample_leaves_the_buffer_unchanged():
+    buf = ReplayBuffer(capacity=6, state_dim=3, action_dim=2)
+    for i in range(6):
+        buf.push(make_transition(i))
+    stored = [a.copy() for a in (buf._states, buf._actions, buf._rewards, buf._next_states)]
+    batch = buf.sample(6, np.random.default_rng(4))
+    for arr in (batch.states, batch.actions, batch.rewards, batch.next_states):
+        arr += 100.0
+    for before, after in zip(stored, (buf._states, buf._actions, buf._rewards, buf._next_states)):
+        np.testing.assert_array_equal(before, after)
+
+
 def test_scalar_actions_are_integer():
     buf = ReplayBuffer(capacity=10, state_dim=2)
     for i in range(5):

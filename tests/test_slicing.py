@@ -73,6 +73,19 @@ def test_demands_at_picks_latest_change():
     np.testing.assert_allclose(config.demands_at(21), [3.0, 3.0, 3.0])
 
 
+def test_demands_at_matches_a_step_by_step_reading_of_the_schedule():
+    # Many shifts inserted in shuffled order; walking the steps and switching to
+    # change c right after step c gives the demand in force at every step.
+    rng = np.random.default_rng(11)
+    config = default_analytic_config()
+    steps = rng.choice(np.arange(1, 3000), size=300, replace=False)
+    config.demand_changes = {int(c): rng.uniform(0.1, 2.0, size=3) for c in steps}
+    current = config.demands
+    for t in range(1, 3002):
+        current = config.demand_changes.get(t - 1, current)
+        np.testing.assert_array_equal(config.demands_at(t), current)
+
+
 # ---------------------------------------------------------------------------
 # Action mapping
 
