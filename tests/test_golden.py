@@ -3,13 +3,19 @@
 Demos 02, 03 and 05 are rerun in a scratch directory, and every file they
 write must equal, byte for byte, its committed copy under ``demo-output/``.
 Any change to the numerics, the environments, the seeding or the metrics
-writer that alters a single output bit fails here.
+writer that alters a single output bit fails here. Tiny seeded runs through
+the branches the demos do not reach, and the oracle report, are pinned the
+same way by the sha256 of what they write.
 """
 
+import hashlib
+import json
 import runpy
 from pathlib import Path
 
 import pytest
+
+from rlalloc.harness import ExperimentConfig, oracle_report, run_experiment
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "demo-output"
@@ -36,3 +42,119 @@ def test_demo_reproduces_committed_outputs(demo, tmp_path, monkeypatch):
     for name in DEMOS[demo]:
         fresh = (tmp_path / "demo-output" / name).read_bytes()
         assert fresh == (GOLDEN / name).read_bytes(), f"{name} differs from demo-output/{name}"
+
+
+# Tiny runs through the branches the demos leave out: TD3 eval slots, emulated
+# TD3 and SRA, RRA and the optimum on both MEC presets, DQN eval slots on
+# mec-seven, and the oracle report. Each digest is the sha256 of the metrics
+# file, or of the sorted-key JSON of the oracle report, as first recorded.
+TINY_TD3 = {
+    "actor_hidden": [16],
+    "critic_hidden": [16],
+    "batch_size": 8,
+    "exploration_steps": 20,
+    "buffer_capacity": 256,
+}
+TINY_DQN = {
+    "hidden": [16],
+    "batch_size": 8,
+    "exploration_steps": 20,
+    "buffer_capacity": 256,
+    "target_sync_period": 10,
+}
+SHIFTED = {  # the slicing-analytic preset with its demand shift after step 30
+    "total_bandwidth": 1.5,
+    "k_min": [0.075, 0.075, 0.075],
+    "k_max": [1.5, 1.5, 1.5],
+    "ideal_scores": [0.5, 0.5, 1.0],
+    "demands": [1.0, 1.0, 0.1],
+    "demand_changes": {"30": [0.5, 1.5, 0.1]},
+}
+
+
+def _payload(scenario, policy, env, steps=None, eval_slots=0, agent=None):
+    payload = {"scenario": scenario, "policy": policy, "seed": 1, "env": env}
+    if steps is not None:
+        payload["total_steps"] = steps
+    if eval_slots:
+        payload["eval_slots"] = eval_slots
+    if agent is not None:
+        payload["agent"] = agent
+    return payload
+
+
+RUNS = {
+    "slicing-td3-analytic-eval": (
+        _payload("slicing", "td3", SHIFTED, 60, 15, TINY_TD3),
+        "4f0ea5071130064fc99f491538176a716966c5ee39e40dfc8890627657ebcd33",
+    ),
+    "slicing-td3-emulated-eval": (
+        _payload("slicing", "td3", "slicing-emulated", 40, 15, TINY_TD3),
+        "ab494de9cffa69ce0c0380fd3df7532069186a1335bfc7e7d95226e56ae2f7d2",
+    ),
+    "slicing-sra-analytic": (
+        _payload("slicing", "sra", SHIFTED, 40),
+        "c120448ea726c18cff41bf3207c1b0660c68e6f7d947988a4f698c2a61d0a8c0",
+    ),
+    "slicing-sra-emulated": (
+        _payload("slicing", "sra", "slicing-emulated", 60),
+        "0ab4670a1376f2550c03af484740ef2f5359f73f8bc7888d4c5b5d90e6ee8157",
+    ),
+    "slicing-optimal-analytic": (
+        _payload("slicing", "optimal", SHIFTED, 40),
+        "85ebdf4d70ea4df02c95c6633658931165cd0c0f86134ee402832d63aea37aba",
+    ),
+    "mec-rra-seven": (
+        _payload("mec", "rra", "mec-seven", 60),
+        "679d2373cceb86982510842c895db9155eee1dfb49fc335ffe134bd846cc4146",
+    ),
+    "mec-rra-small": (
+        _payload("mec", "rra", "mec-small", 60),
+        "eef104d8dc4e138855891ffe11ae1c79ff9f16443ecc6222296bbc4c1944fc8a",
+    ),
+    "mec-optimal-seven": (
+        _payload("mec", "optimal", "mec-seven", 40),
+        "5472c8ce839a2581fd196980390f3e57f872b557a7a4e642d63e42ec822073f6",
+    ),
+    "mec-optimal-small": (
+        _payload("mec", "optimal", "mec-small", 40),
+        "21fb9b9487e9a1c3b0c4fb05541c72aecf3b24f893628e109183f8f586de342f",
+    ),
+    "mec-dqn-seven-eval": (
+        _payload("mec", "dqn", "mec-seven", 60, 15, TINY_DQN),
+        "784a9dd15ba75e9a4b8c3c1621e8b5464832201fb1a02174722e330e057d364a",
+    ),
+    "mec-dqn-small-eval": (
+        _payload("mec", "dqn", "mec-small", 60, 15, TINY_DQN),
+        "1c33ac61c84d5dc021b3f8c4e9e9bfb2fa0bf1694a8df8702695480cd741b939",
+    ),
+}
+ORACLES = {
+    "oracle-slicing": (
+        _payload("slicing", "optimal", SHIFTED),
+        "abaa84f2a22747a28106bfbb47f0d588da3242fa251a553eca0fc721c33a7832",
+    ),
+    "oracle-mec-small": (
+        _payload("mec", "optimal", "mec-small"),
+        "c248b29bd8d517e2ffe6fc1e68cb456c71b3e4f1db241bd0e45115cdee13c1b4",
+    ),
+    "oracle-mec-seven": (
+        _payload("mec", "optimal", "mec-seven"),
+        "167af4d1749177ff2b65a16ccfac7233a4f257a75f1987540079112975e9ebf0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_tiny_run_metrics_digest(name, tmp_path):
+    payload, digest = RUNS[name]
+    path = run_experiment(ExperimentConfig.from_dict(payload), tmp_path / f"{name}.jsonl")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_report_digest(name):
+    payload, digest = ORACLES[name]
+    report = oracle_report(ExperimentConfig.from_dict(payload), slots=20)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
