@@ -1,6 +1,6 @@
 """Experiment orchestration: seeded runs, metrics files, and comparisons.
 
-A run is described by a JSON document::
+A run is described by a JSON document; any other key is rejected::
 
     {
       "scenario": "slicing" | "mec",
@@ -8,28 +8,38 @@ A run is described by a JSON document::
                   "dqn" | "rra" | "optimal"   (mec),
       "seed":     0,
       "env":      { ... scenario config ... } | "<preset name>",
-      "agent":    { ... hyperparameter overrides ... },   # optional
-      "total_steps": 8000                                  # optional override
+      "agent":    { ... hyperparameter overrides ... },   # optional, td3/dqn only
+      "total_steps": 8000,                                 # optional override
+      "eval_slots": 0                                      # optional, td3/dqn only
     }
 
 Env presets: ``slicing-analytic``, ``slicing-emulated``, ``mec-seven``,
 ``mec-small``.
 
-Metrics are one JSON object per line. Slicing records carry
-``{step, k, c, U, mode, ...}``; offloading records carry
-``{slot, action, L, L_max, policy, ...}``. The master seed is split into
-independent streams (environment, agent init, action noise, replay sampling,
-baseline) via ``SeedSequence.spawn``, so a longer run reproduces a shorter
-run's records as a byte-identical prefix.
+Metrics are one JSON object per line, built from plain JSON values. The first
+``total_steps`` records have ``phase: "train"``; a learner's greedy
+``eval_slots`` follow with ``phase: "eval"``, no training and null losses.
+
+- Slicing: ``step, phase, k, c, U, mode, policy, B, action, U_greedy,
+  critic_loss, actor_loss``. ``action`` is TD3's raw action (null for SRA and
+  water-filling). ``U_greedy`` is what TD3's greedy action scores on the
+  step's demands; it is null on emulated TD3 train steps and ``U`` otherwise.
+- Offloading: ``slot, phase, action, L, L_max, policy, effective, arrivals,
+  loss``; DQN adds ``action_index, epsilon``, and eval slots add ``L_rra,
+  L_opt``: random routing and the brute-force optimum on the same arrivals.
+
+The master seed is split into independent streams (environment, agent init,
+action noise, replay sampling, baseline) via ``SeedSequence.spawn``, so a
+longer run reproduces a shorter run's records as a byte-identical prefix.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -68,24 +78,23 @@ class ExperimentConfig:
             raise ConfigError("eval_slots must be >= 0")
         if self.eval_slots and self.policy not in ("td3", "dqn"):
             raise ConfigError("eval_slots only applies to learning policies (td3/dqn)")
-        if self.scenario == "slicing":
-            if self.policy not in SLICING_POLICIES:
-                raise ConfigError(
-                    f"slicing policy must be one of {SLICING_POLICIES}, got {self.policy!r}"
-                )
-            if not isinstance(self.env, SliceConfig):
-                raise ConfigError("scenario 'slicing' needs a slicing env config")
-        elif self.scenario == "mec":
-            if self.policy not in MEC_POLICIES:
-                raise ConfigError(
-                    f"mec policy must be one of {MEC_POLICIES}, got {self.policy!r}"
-                )
-            if not isinstance(self.env, MecConfig):
-                raise ConfigError("scenario 'mec' needs a mec env config")
-        else:
+        if self.agent_overrides and self.policy not in ("td3", "dqn"):
+            raise ConfigError("agent overrides only apply to learning policies (td3/dqn)")
+        if self.scenario not in ("slicing", "mec"):
             raise ConfigError(f"scenario must be 'slicing' or 'mec', got {self.scenario!r}")
-        if self.total_steps is not None and self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
+        slicing = self.scenario == "slicing"
+        policies = SLICING_POLICIES if slicing else MEC_POLICIES
+        if self.policy not in policies:
+            raise ConfigError(
+                f"{self.scenario} policy must be one of {policies}, got {self.policy!r}"
+            )
+        if not isinstance(self.env, SliceConfig if slicing else MecConfig):
+            raise ConfigError(f"scenario {self.scenario!r} needs a {self.scenario} env config")
+        steps = self.total_steps
+        if steps is not None and (
+            not isinstance(steps, int) or isinstance(steps, bool) or steps < 1
+        ):
+            raise ConfigError(f"total_steps must be an integer >= 1, got {steps!r}")
         try:
             self.env.validate()
         except ValueError as exc:
@@ -95,6 +104,11 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ConfigError("experiment config must be a JSON object")
+        unknown = set(payload) - {
+            "scenario", "policy", "seed", "env", "agent", "total_steps", "eval_slots"
+        }
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {sorted(unknown)}")
         try:
             scenario = payload["scenario"]
             policy = payload["policy"]
@@ -168,205 +182,145 @@ def _hyperparams(config: ExperimentConfig) -> Td3Hyperparams | DqnHyperparams:
     return hp
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
-class _MetricsWriter:
-    def __init__(self, path: Path):
-        self.path = path
-        self._fh = path.open("w")
-
-    def write(self, record: dict) -> None:
-        self._fh.write(json.dumps(_jsonable(record)) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def _seed_streams(seed: int) -> dict[str, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(5)
     names = ("env", "init", "action", "sample", "baseline")
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-def _run_slicing(config: ExperimentConfig, writer: _MetricsWriter) -> None:
-    env_cfg: SliceConfig = config.env  # type: ignore[assignment]
-    streams = _seed_streams(config.seed)
-    env = SlicingEnv(env_cfg, rng=streams["env"])
-    hp = _hyperparams(config)
-    total = hp.total_steps
-    analytic = env_cfg.mode == "analytic"
+class _Slicing:
+    """TD3's action goes through ``map_action``; SRA and water-filling set ``k`` directly."""
 
-    agent = None
-    buffer = None
-    if config.policy == "td3":
-        agent = Td3Agent(env.observation_dim, env.num_slices, hp, rng=streams["init"])
-        buffer = ReplayBuffer(hp.buffer_capacity, env.observation_dim, env.num_slices)
-    elif config.policy == "optimal" and not analytic:
-        raise ConfigError("the water-filling policy needs analytic demands")
-
-    obs = env.reset()
-    sra_alloc = slicing_mod.sra(env_cfg) if config.policy == "sra" else None
-    for t in range(1, total + 1):
-        critic_loss = actor_loss = None
-        action_list = None
+    def __init__(self, config: ExperimentConfig, hp: Td3Hyperparams, streams: dict) -> None:
+        self.cfg: SliceConfig = config.env  # type: ignore[assignment]
+        self.policy = config.policy
+        env = self.env = SlicingEnv(self.cfg, rng=streams["env"])
+        self.action_dim = env.num_slices
+        self.agent = None
         if config.policy == "td3":
-            mode = "explore" if t <= hp.exploration_steps else "train"
-            action = agent.select_action(obs, mode, streams["action"])
-            if analytic:
-                greedy = agent.select_action(obs, "eval")
-                k_greedy = slicing_mod.map_action(greedy, env_cfg)
-                u_greedy = slicing_mod.utility(
-                    slicing_mod.score_analytic(
-                        k_greedy, env_cfg.demands_at(t), env_cfg.ideal_scores
-                    )
-                )
-            else:
-                u_greedy = None
-            next_obs, reward, info = env.step(action)
-            buffer.push(Transition(obs, action, reward, next_obs))
-            if len(buffer) >= hp.batch_size:
-                critic_loss, actor_loss = agent.train_step(
-                    buffer.sample(hp.batch_size, streams["sample"])
-                )
-            action_list = action
+            self.agent = Td3Agent(env.observation_dim, env.num_slices, hp, rng=streams["init"])
+        elif config.policy == "optimal" and self.cfg.mode != "analytic":
+            raise ConfigError("the water-filling policy needs analytic demands")
+        self.sra = slicing_mod.sra(self.cfg) if config.policy == "sra" else None
+
+    def step(self, t: int, obs: np.ndarray, mode: str, action: np.ndarray | None) -> tuple:
+        cfg = self.cfg
+        if action is None:
+            k = self.sra
+            if k is None:
+                k = slicing_mod.water_fill_optimal(cfg.demands_at(t), cfg)
+            next_obs, reward, info = self.env.step_allocation(k)
         else:
-            if config.policy == "sra":
-                k = sra_alloc
-            else:
-                k = slicing_mod.water_fill_optimal(env_cfg.demands_at(t), env_cfg)
-            next_obs, reward, info = env.step_allocation(k)
-            u_greedy = reward
-        writer.write(
-            {
-                "step": t,
-                "phase": "train",
-                "k": info["k"],
-                "c": info["scores"],
-                "U": reward,
-                "mode": env_cfg.mode,
-                "policy": config.policy,
-                "B": env_cfg.total_bandwidth,
-                "action": action_list,
-                "U_greedy": u_greedy,
-                "critic_loss": critic_loss,
-                "actor_loss": actor_loss,
-            }
-        )
-        obs = next_obs
-
-    for e in range(1, config.eval_slots + 1):
-        action = agent.select_action(obs, "eval")
-        next_obs, reward, info = env.step(action)
-        writer.write(
-            {
-                "step": total + e,
-                "phase": "eval",
-                "k": info["k"],
-                "c": info["scores"],
-                "U": reward,
-                "mode": env_cfg.mode,
-                "policy": config.policy,
-                "B": env_cfg.total_bandwidth,
-                "action": action,
-                "U_greedy": reward,
-                "critic_loss": None,
-                "actor_loss": None,
-            }
-        )
-        obs = next_obs
-
-
-def _run_mec(config: ExperimentConfig, writer: _MetricsWriter) -> None:
-    env_cfg: MecConfig = config.env  # type: ignore[assignment]
-    streams = _seed_streams(config.seed)
-    env = MecEnv(env_cfg, rng=streams["env"])
-    hp = _hyperparams(config)
-    total = hp.total_steps
-
-    agent = None
-    buffer = None
-    catalog = None
-    if config.policy == "dqn":
-        catalog = mec_mod.action_catalog(env_cfg)
-        agent = DqnAgent(env.observation_dim, len(catalog), hp, rng=streams["init"])
-        buffer = ReplayBuffer(hp.buffer_capacity, env.observation_dim, None)
-
-    obs = env.reset()
-    for t in range(1, total + 1):
-        loss = None
-        action_index = None
-        if config.policy == "dqn":
-            mode = "explore" if t <= hp.exploration_steps else "train"
-            action_index = agent.select_action(obs, mode, streams["action"])
-            choices = catalog[action_index]
-        elif config.policy == "rra":
-            choices = mec_mod.random_routing(
-                env.topology, env.current_arrivals, streams["baseline"]
-            )
+            next_obs, reward, info = self.env.step(action)
+        if action is None or mode == "eval":
+            u_greedy = reward  # this step was greedy already
+        elif cfg.mode == "analytic":  # score the greedy action on this step's demands
+            greedy = slicing_mod.map_action(self.agent.select_action(obs, "eval"), cfg)
+            scores = slicing_mod.score_analytic(greedy, cfg.demands_at(t), cfg.ideal_scores)
+            u_greedy = slicing_mod.utility(scores)
         else:
-            choices, _ = mec_mod.brute_force_optimal(env.topology, env.current_arrivals)
-        next_obs, latencies, l_max, info = env.step(choices)
+            u_greedy = None  # emulated traffic cannot be replayed for a probe
+        record = {
+            "step": t,
+            "phase": "eval" if mode == "eval" else "train",
+            "k": info["k"].tolist(),
+            "c": info["scores"].tolist(),
+            "U": reward,
+            "mode": cfg.mode,
+            "policy": self.policy,
+            "B": cfg.total_bandwidth,
+            "action": None if action is None else action.tolist(),
+            "U_greedy": u_greedy,
+            "critic_loss": None,
+            "actor_loss": None,
+        }
+        return reward, next_obs, record
+
+    def after_train(self, t: int, record: dict, losses: tuple | None) -> None:
+        if losses is not None:
+            record["critic_loss"], record["actor_loss"] = losses
+
+
+class _Mec:
+    """DQN's action indexes the action catalog; RRA and brute force route directly."""
+
+    def __init__(self, config: ExperimentConfig, hp: DqnHyperparams, streams: dict) -> None:
+        env_cfg: MecConfig = config.env  # type: ignore[assignment]
+        self.policy = config.policy
+        self.hp = hp
+        env = self.env = MecEnv(env_cfg, rng=streams["env"])
+        self.action_dim = None  # a scalar action index
+        self.agent = None
         if config.policy == "dqn":
-            buffer.push(Transition(obs, action_index, l_max, next_obs))
-            if len(buffer) >= hp.batch_size:
-                loss = agent.train_step(buffer.sample(hp.batch_size, streams["sample"]))
-            if t % hp.target_sync_period == 0:
-                agent.sync_target()
+            self.catalog = mec_mod.action_catalog(env_cfg)
+            self.agent = DqnAgent(env.observation_dim, len(self.catalog), hp, rng=streams["init"])
+        self.baseline_rng = streams["baseline"]
+
+    def step(self, t: int, obs: np.ndarray, mode: str, action: int | None) -> tuple:
+        topology, arrivals = self.env.topology, self.env.current_arrivals
+        if action is not None:
+            choices = self.catalog[action]
+        elif self.policy == "rra":
+            choices = mec_mod.random_routing(topology, arrivals, self.baseline_rng)
+        else:
+            choices, _ = mec_mod.brute_force_optimal(topology, arrivals)
+        if mode == "eval":  # grade against both baselines on the same arrivals
+            rra_choice = mec_mod.random_routing(topology, arrivals, self.baseline_rng)
+            l_rra = mec_mod.evaluate_action(topology, arrivals, rra_choice).l_max
+            _, opt_outcome = mec_mod.brute_force_optimal(topology, arrivals)
+        next_obs, latencies, l_max, info = self.env.step(choices)
         record = {
             "slot": t,
-            "phase": "train",
+            "phase": "eval" if mode == "eval" else "train",
             "action": list(info["requested"]),
-            "L": latencies,
+            "L": latencies.tolist(),
             "L_max": l_max,
-            "policy": config.policy,
+            "policy": self.policy,
             "effective": list(info["effective"]),
-            "arrivals": info["arrivals"],
-            "loss": loss,
+            "arrivals": info["arrivals"].tolist(),
+            "loss": None,
         }
-        if config.policy == "dqn":
-            record["action_index"] = action_index
-            record["epsilon"] = hp.epsilon
-        writer.write(record)
-        obs = next_obs
+        if action is not None:
+            record["action_index"] = action
+            record["epsilon"] = self.hp.epsilon
+        if mode == "eval":
+            record["L_rra"] = l_rra
+            record["L_opt"] = opt_outcome.l_max
+        return l_max, next_obs, record
 
-    # Evaluation phase: greedy actions, no training; each slot also records the
-    # random baseline and the exhaustive optimum on the same arrivals.
-    for e in range(1, config.eval_slots + 1):
-        action_index = agent.select_action(obs, "eval")
-        arrivals = env.current_arrivals.copy()
-        rra_choice = mec_mod.random_routing(env.topology, arrivals, streams["baseline"])
-        l_rra = mec_mod.evaluate_action(env.topology, arrivals, rra_choice).l_max
-        _, opt_outcome = mec_mod.brute_force_optimal(env.topology, arrivals)
-        next_obs, latencies, l_max, info = env.step(catalog[action_index])
-        writer.write(
-            {
-                "slot": total + e,
-                "phase": "eval",
-                "action": list(info["requested"]),
-                "L": latencies,
-                "L_max": l_max,
-                "policy": config.policy,
-                "effective": list(info["effective"]),
-                "arrivals": info["arrivals"],
-                "loss": None,
-                "action_index": action_index,
-                "epsilon": hp.epsilon,
-                "L_rra": l_rra,
-                "L_opt": opt_outcome.l_max,
-            }
-        )
+    def after_train(self, t: int, record: dict, loss: float | None) -> None:
+        record["loss"] = loss
+        if t % self.hp.target_sync_period == 0:
+            self.agent.sync_target()
+
+
+_SCENARIOS = {"slicing": _Slicing, "mec": _Mec}
+
+
+def _run(config: ExperimentConfig, out: TextIO) -> None:
+    """Train for ``total_steps``, then act greedily for ``eval_slots``; one record per step."""
+    streams = _seed_streams(config.seed)
+    hp = _hyperparams(config)
+    scenario = _SCENARIOS[config.scenario](config, hp, streams)
+    agent, env = scenario.agent, scenario.env
+    if agent is not None:
+        buffer = ReplayBuffer(hp.buffer_capacity, env.observation_dim, scenario.action_dim)
+    obs = env.reset()
+    action = None
+    for t in range(1, hp.total_steps + config.eval_slots + 1):
+        mode = "explore" if t <= hp.exploration_steps else "train"
+        if t > hp.total_steps:
+            mode = "eval"
+        if agent is not None:
+            action = agent.select_action(obs, mode, streams["action"])
+        reward, next_obs, record = scenario.step(t, obs, mode, action)
+        if agent is not None and mode != "eval":
+            buffer.push(Transition(obs, action, reward, next_obs))
+            trained = None
+            if len(buffer) >= hp.batch_size:
+                trained = agent.train_step(buffer.sample(hp.batch_size, streams["sample"]))
+            scenario.after_train(t, record, trained)
+        out.write(json.dumps(record) + "\n")
         obs = next_obs
 
 
@@ -376,16 +330,9 @@ def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None)
     if out_path is None:
         out_path = Path(f"metrics-{config.scenario}-{config.policy}-seed{config.seed}.jsonl")
     path = Path(out_path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    writer = _MetricsWriter(path)
-    try:
-        if config.scenario == "slicing":
-            _run_slicing(config, writer)
-        else:
-            _run_mec(config, writer)
-    finally:
-        writer.close()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as out:
+        _run(config, out)
     return path
 
 
@@ -560,17 +507,8 @@ def sweep_epsilon(
     paths = []
     summaries = []
     for eps in values:
-        overrides = dict(config.agent_overrides)
-        overrides["epsilon"] = float(eps)
-        run_cfg = ExperimentConfig(
-            scenario=config.scenario,
-            policy=config.policy,
-            seed=config.seed,
-            env=config.env,
-            agent_overrides=overrides,
-            total_steps=config.total_steps,
-            eval_slots=config.eval_slots,
-        )
+        overrides = dict(config.agent_overrides, epsilon=float(eps))
+        run_cfg = replace(config, agent_overrides=overrides)
         path = base_dir / f"metrics-mec-dqn-eps{eps}-seed{config.seed}.jsonl"
         run_experiment(run_cfg, path)
         series = [r["L_max"] for r in load_metrics(path) if r["phase"] == "train"]
@@ -616,10 +554,10 @@ def oracle_report(config: ExperimentConfig, slots: int = 100) -> dict:
             report["regimes"].append(
                 {
                     "from_step": start,
-                    "demands": _jsonable(demands),
-                    "optimal_k": _jsonable(k_opt),
+                    "demands": demands.tolist(),
+                    "optimal_k": k_opt.tolist(),
                     "optimal_utility": u_opt,
-                    "sra_k": _jsonable(k_sra),
+                    "sra_k": k_sra.tolist(),
                     "sra_utility": u_sra,
                     "ratio": u_opt / u_sra,
                 }

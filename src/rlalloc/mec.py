@@ -37,18 +37,6 @@ CORE = -1  # send overflow to the operator core
 ENUMERATION_CEILING = 1_000_000
 
 
-def split_task(size: float, capacity: float, tau: float, cycles_per_bit: float) -> tuple[float, float]:
-    """Split arriving data into (locally processable, overflow)."""
-    if size < 0:
-        raise ValueError(f"task size must be non-negative, got {size}")
-    if capacity <= 0 or tau <= 0 or cycles_per_bit <= 0:
-        raise ValueError("capacity, tau, and cycles_per_bit must be positive")
-    local_cap = tau * capacity / cycles_per_bit
-    if size <= local_cap:
-        return size, 0.0
-    return local_cap, size - local_cap
-
-
 def latency_local(size: float, capacity: float, cycles_per_bit: float) -> float:
     """Compute-only latency when everything fits locally."""
     if size < 0:

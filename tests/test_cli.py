@@ -84,6 +84,19 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_misspelled_key_exits_2(tmp_path, capsys):
+    bad = write_config(
+        tmp_path,
+        "typo.json",
+        {"scenario": "slicing", "policy": "sra", "env": "slicing-analytic", "total_step": 3},
+    )
+    assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "m.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "total_step" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_run_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

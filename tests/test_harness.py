@@ -84,6 +84,11 @@ def test_presets_resolve():
             {"scenario": "mec", "policy": "rra", "env": name}
         )
         assert cfg.env.topology.num_servers in (4, 7)
+    # An empty agent object is no override, so baselines accept it.
+    cfg = ExperimentConfig.from_dict(
+        {"scenario": "mec", "policy": "optimal", "env": "mec-small", "agent": {}}
+    )
+    assert cfg.agent_overrides == {}
     assert set(ENV_PRESETS) == {
         "slicing-analytic",
         "slicing-emulated",
@@ -135,6 +140,17 @@ def test_env_dict_round_trip():
             "total_steps": 0,
         },
         {"scenario": "slicing", "policy": "sra", "env": "slicing-analytic", "agent": 5},
+        {"scenario": "slicing", "policy": "sra", "env": "slicing-analytic", "total_steps": "10"},
+        {"scenario": "slicing", "policy": "sra", "env": "slicing-analytic", "total_steps": 2.5},
+        {"scenario": "slicing", "policy": "sra", "env": "slicing-analytic", "total_steps": True},
+        {"scenario": "slicing", "policy": "sra", "env": "slicing-analytic", "total_step": 3},
+        {"scenario": "mec", "policy": "rra", "env": "mec-small", "agent": {"epsilon": 0.5}},
+        {
+            "scenario": "slicing",
+            "policy": "sra",
+            "env": "slicing-analytic",
+            "agent": {"batch_size": 8},
+        },  # agent overrides need a learning policy
     ],
 )
 def test_bad_configs_raise_config_error(payload):

@@ -20,22 +20,11 @@ from rlalloc.mec import (
     latency_offload,
     random_routing,
     small_contention_config,
-    split_task,
 )
 
 
 # ---------------------------------------------------------------------------
-# Task split and latency formulas
-
-
-def test_split_task():
-    # Local share is what the slot can process: tau * C / v.
-    local, overflow = split_task(size=24.0, capacity=1000.0, tau=0.1, cycles_per_bit=10.0)
-    assert local == pytest.approx(10.0)
-    assert overflow == pytest.approx(14.0)
-    local, overflow = split_task(size=8.0, capacity=2000.0, tau=0.1, cycles_per_bit=10.0)
-    assert local == pytest.approx(8.0)
-    assert overflow == 0.0
+# Latency formulas
 
 
 def test_latency_formulas():
