@@ -59,9 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
-        config.seed = args.seed
+        config.seed = args.seed  # run_experiment validates it
     path = run_experiment(config, args.out)
     records = load_metrics(path)
     key = "U" if config.scenario == "slicing" else "L_max"

@@ -65,6 +65,11 @@ class DqnHyperparams:
             raise ValueError("need buffer_capacity >= batch_size >= 1")
         if not 0 <= self.exploration_steps <= self.total_steps:
             raise ValueError("need 0 <= exploration_steps <= total_steps")
+        if not all(
+            isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1
+            for h in self.hidden
+        ):
+            raise ValueError("hidden layer sizes must be positive integers")
 
 
 class DqnAgent:

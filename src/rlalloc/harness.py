@@ -39,7 +39,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +63,11 @@ ENV_PRESETS: dict[str, Callable[[], SliceConfig | MecConfig]] = {
 }
 
 
+def _is_count(value: object, minimum: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -74,8 +79,10 @@ class ExperimentConfig:
     eval_slots: int = 0
 
     def validate(self) -> None:
-        if self.eval_slots < 0:
-            raise ConfigError("eval_slots must be >= 0")
+        if not _is_count(self.seed, 0):
+            raise ConfigError(f"'seed' must be a non-negative integer, got {self.seed!r}")
+        if not _is_count(self.eval_slots, 0):
+            raise ConfigError(f"'eval_slots' must be an integer >= 0, got {self.eval_slots!r}")
         if self.eval_slots and self.policy not in ("td3", "dqn"):
             raise ConfigError("eval_slots only applies to learning policies (td3/dqn)")
         if self.agent_overrides and self.policy not in ("td3", "dqn"):
@@ -90,14 +97,11 @@ class ExperimentConfig:
             )
         if not isinstance(self.env, SliceConfig if slicing else MecConfig):
             raise ConfigError(f"scenario {self.scenario!r} needs a {self.scenario} env config")
-        steps = self.total_steps
-        if steps is not None and (
-            not isinstance(steps, int) or isinstance(steps, bool) or steps < 1
-        ):
-            raise ConfigError(f"total_steps must be an integer >= 1, got {steps!r}")
+        if self.total_steps is not None and not _is_count(self.total_steps, 1):
+            raise ConfigError(f"total_steps must be an integer >= 1, got {self.total_steps!r}")
         try:
             self.env.validate()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid env config: {exc}") from exc
 
     @classmethod
@@ -129,27 +133,21 @@ class ExperimentConfig:
                     env = MecConfig.from_dict(env_spec)
                 else:
                     raise ConfigError(f"unknown scenario {scenario!r}")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid env config: {exc}") from exc
         else:
             raise ConfigError("'env' must be a preset name or a config object")
         overrides = payload.get("agent", {})
         if not isinstance(overrides, dict):
             raise ConfigError("'agent' must be an object of hyperparameter overrides")
-        seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
-        eval_slots = payload.get("eval_slots", 0)
-        if not isinstance(eval_slots, int) or isinstance(eval_slots, bool):
-            raise ConfigError(f"'eval_slots' must be an integer, got {eval_slots!r}")
         config = cls(
             scenario=scenario,
             policy=policy,
-            seed=seed,
+            seed=payload.get("seed", 0),
             env=env,
             agent_overrides=dict(overrides),
             total_steps=payload.get("total_steps"),
-            eval_slots=eval_slots,
+            eval_slots=payload.get("eval_slots", 0),
         )
         config.validate()
         return config
@@ -170,14 +168,11 @@ def _hyperparams(config: ExperimentConfig) -> Td3Hyperparams | DqnHyperparams:
     cls = Td3Hyperparams if config.scenario == "slicing" else DqnHyperparams
     try:
         hp = cls(**config.agent_overrides)
-    except TypeError as exc:
-        raise ConfigError(f"unknown agent hyperparameter: {exc}") from exc
-    if config.total_steps is not None:
-        hp.total_steps = int(config.total_steps)
-        hp.exploration_steps = min(hp.exploration_steps, hp.total_steps)
-    try:
+        if config.total_steps is not None:
+            hp.total_steps = config.total_steps
+            hp.exploration_steps = min(hp.exploration_steps, hp.total_steps)
         hp.validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid agent hyperparameters: {exc}") from exc
     return hp
 
@@ -297,31 +292,36 @@ class _Mec:
 _SCENARIOS = {"slicing": _Slicing, "mec": _Mec}
 
 
-def _run(config: ExperimentConfig, out: TextIO) -> None:
-    """Train for ``total_steps``, then act greedily for ``eval_slots``; one record per step."""
+def _run(config: ExperimentConfig, path: Path) -> None:
+    """Train for ``total_steps``, then act greedily for ``eval_slots``; one record per step.
+
+    Everything that can reject the config is built before ``path`` is opened.
+    """
     streams = _seed_streams(config.seed)
     hp = _hyperparams(config)
     scenario = _SCENARIOS[config.scenario](config, hp, streams)
     agent, env = scenario.agent, scenario.env
     if agent is not None:
         buffer = ReplayBuffer(hp.buffer_capacity, env.observation_dim, scenario.action_dim)
-    obs = env.reset()
-    action = None
-    for t in range(1, hp.total_steps + config.eval_slots + 1):
-        mode = "explore" if t <= hp.exploration_steps else "train"
-        if t > hp.total_steps:
-            mode = "eval"
-        if agent is not None:
-            action = agent.select_action(obs, mode, streams["action"])
-        reward, next_obs, record = scenario.step(t, obs, mode, action)
-        if agent is not None and mode != "eval":
-            buffer.push(Transition(obs, action, reward, next_obs))
-            trained = None
-            if len(buffer) >= hp.batch_size:
-                trained = agent.train_step(buffer.sample(hp.batch_size, streams["sample"]))
-            scenario.after_train(t, record, trained)
-        out.write(json.dumps(record) + "\n")
-        obs = next_obs
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as out:
+        obs = env.reset()
+        action = None
+        for t in range(1, hp.total_steps + config.eval_slots + 1):
+            mode = "explore" if t <= hp.exploration_steps else "train"
+            if t > hp.total_steps:
+                mode = "eval"
+            if agent is not None:
+                action = agent.select_action(obs, mode, streams["action"])
+            reward, next_obs, record = scenario.step(t, obs, mode, action)
+            if agent is not None and mode != "eval":
+                buffer.push(Transition(obs, action, reward, next_obs))
+                trained = None
+                if len(buffer) >= hp.batch_size:
+                    trained = agent.train_step(buffer.sample(hp.batch_size, streams["sample"]))
+                scenario.after_train(t, record, trained)
+            out.write(json.dumps(record) + "\n")
+            obs = next_obs
 
 
 def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> Path:
@@ -330,9 +330,7 @@ def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None)
     if out_path is None:
         out_path = Path(f"metrics-{config.scenario}-{config.policy}-seed{config.seed}.jsonl")
     path = Path(out_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as out:
-        _run(config, out)
+    _run(config, path)
     return path
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,8 @@ class EdgeTopology:
 
     def __post_init__(self) -> None:
         self.capacities = np.asarray(self.capacities, dtype=float)
-        self.neighbors = tuple(tuple(sorted(int(j) for j in ns)) for ns in self.neighbors)
+        # operator.index takes integers only: a neighbor id of 1.9 is an error, not 1.
+        self.neighbors = tuple(tuple(sorted(map(operator.index, ns))) for ns in self.neighbors)
         self.link_rates = np.asarray(self.link_rates, dtype=float)
 
     @property
@@ -87,17 +89,18 @@ class EdgeTopology:
         return self.capacities.shape[0]
 
     def validate(self) -> None:
+        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
         i = self.num_servers
         if i < 1:
             raise ValueError("need at least one server")
-        if np.any(self.capacities <= 0):
-            raise ValueError("capacities must be positive")
+        if not np.all((self.capacities > 0) & (self.capacities < np.inf)):
+            raise ValueError("capacities must be positive and finite")
         if len(self.neighbors) != i:
             raise ValueError(f"need one neighbor list per server ({i})")
         if self.link_rates.shape != (i, i):
             raise ValueError(f"link_rates must have shape ({i}, {i})")
-        if not (self.core_rate > 0 and self.tau > 0 and self.cycles_per_bit > 0):
-            raise ValueError("core_rate, tau, and cycles_per_bit must be positive")
+        if not all(0 < v < np.inf for v in (self.core_rate, self.tau, self.cycles_per_bit)):
+            raise ValueError("core_rate, tau, and cycles_per_bit must be positive and finite")
         for a, ns in enumerate(self.neighbors):
             for b in ns:
                 if not 0 <= b < i:
@@ -106,7 +109,7 @@ class EdgeTopology:
                     raise ValueError(f"server {a} lists itself as a neighbor")
                 if a not in self.neighbors[b]:
                     raise ValueError(f"adjacency is not symmetric: {a}->{b}")
-                if self.link_rates[a, b] <= 0:
+                if not 0 < self.link_rates[a, b] < np.inf:
                     raise ValueError(f"link rate for neighbors {a}->{b} must be positive")
 
     def slot_capacity(self) -> Array:
@@ -125,26 +128,15 @@ class EdgeTopology:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EdgeTopology":
-        neighbors = tuple(tuple(ns) for ns in payload["neighbors"])
-        if "link_rates" in payload:
-            link_rates = np.asarray(payload["link_rates"], dtype=float)
-        else:
-            rate = float(payload["link_rate"])
-            n = len(payload["capacities"])
-            link_rates = np.zeros((n, n))
-            for a, ns in enumerate(neighbors):
-                for b in ns:
-                    link_rates[a, b] = rate
-        topo = cls(
-            capacities=payload["capacities"],
-            neighbors=neighbors,
-            link_rates=link_rates,
-            core_rate=payload["core_rate"],
-            tau=payload["tau"],
-            cycles_per_bit=payload["cycles_per_bit"],
-        )
-        topo.validate()
-        return topo
+        fields = dict(payload)
+        if "link_rate" in fields:  # shorthand: the same rate on every link
+            if "link_rates" in fields:
+                raise ValueError("give link_rate or link_rates, not both")
+            rate, n = fields.pop("link_rate"), len(fields["capacities"])
+            fields["link_rates"] = np.zeros((n, n))
+            for a, ns in enumerate(fields["neighbors"]):
+                fields["link_rates"][a, list(ns)] = rate
+        return cls(**fields)
 
 
 @dataclass
@@ -160,20 +152,20 @@ class ArrivalModel:
         if self.kind not in ("fixed", "uniform"):
             raise ValueError(f"arrival kind must be 'fixed' or 'uniform', got {self.kind!r}")
         if self.kind == "fixed":
-            if self.sizes is None:
-                raise ValueError("fixed arrivals need a sizes vector")
+            if self.sizes is None or self.low is not None or self.high is not None:
+                raise ValueError("fixed arrivals take a sizes vector only")
             self.sizes = np.asarray(self.sizes, dtype=float)
-            if np.any(self.sizes < 0):
-                raise ValueError("arrival sizes must be non-negative")
+            if not np.all((self.sizes >= 0) & (self.sizes < np.inf)):
+                raise ValueError("arrival sizes must be non-negative and finite")
         else:
-            if self.low is None or self.high is None:
-                raise ValueError("uniform arrivals need low and high vectors")
+            if self.low is None or self.high is None or self.sizes is not None:
+                raise ValueError("uniform arrivals take low and high vectors only")
             self.low = np.asarray(self.low, dtype=float)
             self.high = np.asarray(self.high, dtype=float)
             if self.low.shape != self.high.shape:
                 raise ValueError("low and high must have matching shapes")
-            if np.any(self.low < 0) or np.any(self.high < self.low):
-                raise ValueError("need 0 <= low <= high")
+            if not np.all((0 <= self.low) & (self.low <= self.high) & (self.high < np.inf)):
+                raise ValueError("need 0 <= low <= high < inf")
 
     @property
     def num_servers(self) -> int:
@@ -195,18 +187,15 @@ class ArrivalModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ArrivalModel":
-        if payload["kind"] == "fixed":
-            return cls("fixed", sizes=payload["sizes"])
-        return cls("uniform", low=payload["low"], high=payload["high"])
+        return cls(**payload)
 
 
 @dataclass
 class MecConfig:
-    """Topology plus arrival process (and an optional latency normalizer)."""
+    """Topology plus arrival process."""
 
     topology: EdgeTopology
     arrivals: ArrivalModel
-    latency_ref: float | None = None
 
     def validate(self) -> None:
         self.topology.validate()
@@ -215,13 +204,9 @@ class MecConfig:
                 f"arrival model covers {self.arrivals.num_servers} servers, "
                 f"topology has {self.topology.num_servers}"
             )
-        if self.latency_ref is not None and self.latency_ref <= 0:
-            raise ValueError("latency_ref must be positive")
 
     def resolved_latency_ref(self) -> float:
         """Normalizer for latency observations: an upper bound on any L_i."""
-        if self.latency_ref is not None:
-            return self.latency_ref
         topo = self.topology
         rates = [topo.core_rate]
         for a, ns in enumerate(topo.neighbors):
@@ -230,18 +215,14 @@ class MecConfig:
         return 2.0 * topo.tau + max_s / min(rates)
 
     def to_dict(self) -> dict:
-        payload = {"topology": self.topology.to_dict(), "arrivals": self.arrivals.to_dict()}
-        if self.latency_ref is not None:
-            payload["latency_ref"] = self.latency_ref
-        return payload
+        return {"topology": self.topology.to_dict(), "arrivals": self.arrivals.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MecConfig":
-        config = cls(
-            topology=EdgeTopology.from_dict(payload["topology"]),
-            arrivals=ArrivalModel.from_dict(payload["arrivals"]),
-            latency_ref=payload.get("latency_ref"),
-        )
+        fields = dict(payload)
+        fields["topology"] = EdgeTopology.from_dict(fields["topology"])
+        fields["arrivals"] = ArrivalModel.from_dict(fields["arrivals"])
+        config = cls(**fields)
         config.validate()
         return config
 
@@ -443,7 +424,6 @@ def action_catalog(config: MecConfig) -> list[tuple[int, ...]]:
     valid action appears in this catalog (no-op coercion bridges the gap when
     a can-overflow server happens to be idle).
     """
-    config.validate()
     slot_cap = config.topology.slot_capacity()
     can_overflow = config.arrivals.max_sizes() > slot_cap
     return _checked_product(_per_server_options(config.topology, can_overflow))
@@ -495,13 +475,8 @@ class MecEnv:
         self._arrivals: Array | None = None
         self._prev_latencies: Array | None = None
         self._prev_effective: tuple[int, ...] | None = None
-        slots = []
-        offset = 0
-        for i in range(self.topology.num_servers):
-            width = 1 + (2 + len(self.topology.neighbors[i]))
-            slots.append(offset)
-            offset += width
-        self._obs_dim = offset
+        # Per server: its latency, then a one-hot over [CORE] + neighbors + [NOOP].
+        self._obs_dim = sum(3 + len(ns) for ns in self.topology.neighbors)
 
     @property
     def num_servers(self) -> int:

@@ -26,12 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from rlalloc.exceptions import ConfigError
 from rlalloc.traffic import ServiceProfile, SliceTraffic, StepStats
 
 Array = np.ndarray
 
 SCORE_EXPONENT = 1.1
 MODES = ("analytic", "emulated")
+
+
+def _positive(values: Array) -> bool:
+    """Whether every entry is positive and finite (NaN is neither)."""
+    return bool(np.all((values > 0) & (values < np.inf)))
 
 
 @dataclass
@@ -60,7 +66,8 @@ class SliceConfig:
         if self.demands is not None:
             self.demands = np.asarray(self.demands, dtype=float)
         self.demand_changes = {
-            int(step): np.asarray(vec, dtype=float) for step, vec in self.demand_changes.items()
+            int(step): np.asarray(vec, dtype=float)
+            for step, vec in dict(self.demand_changes).items()
         }
         if self.latency_weights is not None:
             self.latency_weights = np.asarray(self.latency_weights, dtype=float)
@@ -70,45 +77,46 @@ class SliceConfig:
         return self.k_min.shape[0]
 
     def validate(self) -> None:
+        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
         i = self.num_slices
         if i < 1:
             raise ValueError("need at least one slice")
-        if not self.total_bandwidth > 0:
+        if not 0 < self.total_bandwidth < np.inf:
             raise ValueError(f"total_bandwidth must be positive, got {self.total_bandwidth}")
         for name, arr in (("k_max", self.k_max), ("ideal_scores", self.ideal_scores)):
             if arr.shape != (i,):
                 raise ValueError(f"{name} must have shape ({i},), got {arr.shape}")
-        if np.any(self.k_min <= 0):
+        if not np.all(self.k_min > 0):
             raise ValueError("k_min entries must be positive")
-        if np.any(self.k_min > self.k_max):
+        if not np.all(self.k_min <= self.k_max):
             raise ValueError("k_min must not exceed k_max")
-        if np.any(self.k_max > self.total_bandwidth + 1e-12):
+        if not np.all(self.k_max <= self.total_bandwidth + 1e-12):
             raise ValueError("k_max must not exceed the total bandwidth")
         if self.k_min.sum() > self.total_bandwidth + 1e-12:
             raise ValueError("sum of k_min exceeds the total bandwidth: infeasible")
-        if np.any(self.ideal_scores <= 0):
-            raise ValueError("ideal_scores must be positive")
+        if not _positive(self.ideal_scores):
+            raise ValueError("ideal_scores must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.step_duration <= 0:
+        if not 0 < self.step_duration < np.inf:
             raise ValueError("step_duration must be positive")
         if self.mode == "analytic":
             if self.demands is None or self.demands.shape != (i,):
                 raise ValueError(f"analytic mode needs a demand vector of shape ({i},)")
-            if np.any(self.demands <= 0):
-                raise ValueError("demands must be positive")
+            if not _positive(self.demands):
+                raise ValueError("demands must be positive and finite")
             for step, vec in self.demand_changes.items():
                 if step < 1:
                     raise ValueError(f"demand-change step must be >= 1, got {step}")
-                if vec.shape != (i,) or np.any(vec <= 0):
+                if vec.shape != (i,) or not _positive(vec):
                     raise ValueError(f"demand change at step {step} must be {i} positive values")
         else:
             if self.services is None or len(self.services) != i:
                 raise ValueError(f"emulated mode needs one service profile per slice ({i})")
             if self.latency_weights is None or self.latency_weights.shape != (i,):
                 raise ValueError(f"emulated mode needs latency_weights of shape ({i},)")
-            if np.any(self.latency_weights <= 0):
-                raise ValueError("latency_weights must be positive")
+            if not _positive(self.latency_weights):
+                raise ValueError("latency_weights must be positive and finite")
 
     def demands_at(self, step: int) -> Array:
         """Demand vector in force at 1-based step ``step`` (analytic mode)."""
@@ -143,19 +151,10 @@ class SliceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SliceConfig":
-        services = payload.get("services")
-        config = cls(
-            total_bandwidth=payload["total_bandwidth"],
-            k_min=payload["k_min"],
-            k_max=payload["k_max"],
-            ideal_scores=payload["ideal_scores"],
-            demands=payload.get("demands"),
-            demand_changes=payload.get("demand_changes", {}),
-            mode=payload.get("mode", "analytic"),
-            services=[ServiceProfile.from_dict(s) for s in services] if services else None,
-            latency_weights=payload.get("latency_weights"),
-            step_duration=payload.get("step_duration", 1.0),
-        )
+        fields = dict(payload)
+        if fields.get("services") is not None:
+            fields["services"] = [ServiceProfile.from_dict(s) for s in fields["services"]]
+        config = cls(**fields)
         config.validate()
         return config
 
@@ -270,7 +269,7 @@ def utility(scores: Array) -> float:
     return float(np.prod(c))
 
 
-def water_fill_optimal(demands: Array, config: SliceConfig, tol: float = 1e-9) -> Array:
+def water_fill_optimal(demands: Array, config: SliceConfig) -> Array:
     """Allocation maximizing the product of analytic scores.
 
     The optimum equalizes effective allocations at a common level ``nu``:
@@ -285,7 +284,6 @@ def water_fill_optimal(demands: Array, config: SliceConfig, tol: float = 1e-9) -
         raise ValueError(f"demands must have shape ({i},), got {d.shape}")
     if np.any(d <= 0):
         raise ValueError("demands must be positive")
-    config.validate()
     b = config.total_bandwidth
     saturated = np.clip(d, config.k_min, config.k_max)
     if saturated.sum() <= b:
@@ -296,7 +294,7 @@ def water_fill_optimal(demands: Array, config: SliceConfig, tol: float = 1e-9) -
 
     lo, hi = 0.0, float(d.max())
     for _ in range(500):
-        if hi - lo <= min(tol, 1e-12):
+        if hi - lo <= 1e-12:
             break
         mid = 0.5 * (lo + hi)
         if spent(mid) < b:
@@ -309,11 +307,10 @@ def water_fill_optimal(demands: Array, config: SliceConfig, tol: float = 1e-9) -
 
 def sra(config: SliceConfig) -> Array:
     """Static even split ``B/I`` per slice; rejects configs where that violates a bound."""
-    config.validate()
     share = config.total_bandwidth / config.num_slices
     k = np.full(config.num_slices, share)
     if np.any(k < config.k_min - 1e-12) or np.any(k > config.k_max + 1e-12):
-        raise ValueError(f"even share {share} violates per-slice bounds")
+        raise ConfigError(f"even share {share} violates per-slice bounds")
     return k
 
 

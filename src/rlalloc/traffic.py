@@ -16,13 +16,20 @@ step.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-SERVICE_KINDS = ("video", "voice", "chat")
+# The fields each service kind reads; the others keep their defaults.
+_KIND_FIELDS = {
+    "video": ("file_size", "cycle_length", "chunk_count"),
+    "voice": ("packet_size",),
+    "chat": ("mean_arrivals", "size_min", "size_max"),
+}
+SERVICE_KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -39,22 +46,27 @@ class ServiceProfile:
     size_max: float = 0.0  # chat
 
     def __post_init__(self) -> None:
+        # Chained comparisons against inf reject NaN and infinities alike.
         if self.kind not in SERVICE_KINDS:
             raise ValueError(f"kind must be one of {SERVICE_KINDS}, got {self.kind!r}")
         if self.kind == "video":
-            if self.file_size <= 0:
+            if not 0 < self.file_size < math.inf:
                 raise ValueError("video file_size must be positive")
+            for name in ("cycle_length", "chunk_count"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"video {name} must be an integer, got {value!r}")
             if self.cycle_length < 2:
                 raise ValueError("video cycle_length must be at least 2")
             if not 1 <= self.chunk_count <= self.cycle_length:
                 raise ValueError("chunk_count must lie in [1, cycle_length]")
         elif self.kind == "voice":
-            if self.packet_size <= 0:
+            if not 0 < self.packet_size < math.inf:
                 raise ValueError("voice packet_size must be positive")
         else:
-            if self.mean_arrivals < 0:
+            if not 0 <= self.mean_arrivals < math.inf:
                 raise ValueError("chat mean_arrivals must be non-negative")
-            if not 0 < self.size_min <= self.size_max:
+            if not 0 < self.size_min <= self.size_max < math.inf:
                 raise ValueError("chat sizes need 0 < size_min <= size_max")
 
     @classmethod
@@ -70,36 +82,15 @@ class ServiceProfile:
         return cls("chat", mean_arrivals=mean_arrivals, size_min=size_min, size_max=size_max)
 
     def to_dict(self) -> dict:
-        if self.kind == "video":
-            return {
-                "kind": "video",
-                "file_size": self.file_size,
-                "cycle_length": self.cycle_length,
-                "chunk_count": self.chunk_count,
-            }
-        if self.kind == "voice":
-            return {"kind": "voice", "packet_size": self.packet_size}
-        return {
-            "kind": "chat",
-            "mean_arrivals": self.mean_arrivals,
-            "size_min": self.size_min,
-            "size_max": self.size_max,
-        }
+        return {"kind": self.kind, **{f: getattr(self, f) for f in _KIND_FIELDS[self.kind]}}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServiceProfile":
-        kind = payload.get("kind")
-        if kind == "video":
-            return cls.video(
-                payload["file_size"],
-                int(payload.get("cycle_length", 10)),
-                int(payload.get("chunk_count", 4)),
-            )
-        if kind == "voice":
-            return cls.voice(payload["packet_size"])
-        if kind == "chat":
-            return cls.chat(payload["mean_arrivals"], payload["size_min"], payload["size_max"])
-        raise ValueError(f"unknown service kind {kind!r}")
+        kind = payload["kind"]
+        unknown = set(payload) - {"kind", *_KIND_FIELDS.get(kind, ())}
+        if unknown:
+            raise ValueError(f"unknown key(s) {sorted(unknown)} for a {kind!r} service")
+        return cls(**payload)
 
 
 class Arrival(NamedTuple):

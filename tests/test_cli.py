@@ -12,6 +12,8 @@ import pytest
 import rlalloc.cli as cli
 from rlalloc.exceptions import TrainingDiverged
 from rlalloc.harness import load_metrics
+from rlalloc.mec import small_contention_config
+from rlalloc.slicing import default_analytic_config
 
 
 def write_config(tmp_path, name, payload):
@@ -95,6 +97,49 @@ def test_run_misspelled_key_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "total_step" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "m.jsonl").exists()
+
+
+ANALYTIC_ENV = default_analytic_config().to_dict()
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"scenario": "slicing", "policy": "optimal", "env": "slicing-emulated"}, "analytic"),
+        (
+            {"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+             "agent": {"momentum": 0.9}},
+            "momentum",
+        ),
+        (
+            {"scenario": "slicing", "policy": "sra",
+             "env": dict(ANALYTIC_ENV, k_max=[0.4, 1.5, 1.5])},
+            "even share",
+        ),
+        ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {"hidden": "ab"}},
+         "hidden"),
+        (
+            {"scenario": "slicing", "policy": "sra",
+             "env": dict(ANALYTIC_ENV, demands=[float("nan"), 1.0, 0.1])},
+            "demands",
+        ),
+        (
+            {"scenario": "mec", "policy": "rra",
+             "env": dict(small_contention_config().to_dict(), latency_ref=1.0)},
+            "latency_ref",
+        ),
+    ],
+    ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
+         "latency-ref"],
+)
+def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
+    config = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "out" / "m.jsonl"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys):

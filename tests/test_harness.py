@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from rlalloc.harness import (
     sweep_epsilon,
 )
 from rlalloc.mec import default_mec_config, small_contention_config
-from rlalloc.slicing import default_analytic_config
+from rlalloc.slicing import default_analytic_config, default_emulated_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 U_OPT_PRE = 1.8250538335858812
 U_SRA_PRE = 0.8705505632961239
@@ -67,6 +70,19 @@ def mec_config(policy="dqn", seed=0, total_steps=20, **kwargs):
         total_steps=total_steps,
         **kwargs,
     )
+
+
+def inline(scenario, env):
+    """A baseline-policy config around an inline env object."""
+    policy = "sra" if scenario == "slicing" else "optimal"
+    return {"scenario": scenario, "policy": policy, "env": env}
+
+
+ANALYTIC = default_analytic_config().to_dict()
+EMULATED = default_emulated_config().to_dict()
+VIDEO, VOICE, CHAT = EMULATED["services"]
+MEC = small_contention_config().to_dict()
+NAN = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +167,55 @@ def test_env_dict_round_trip():
             "env": "slicing-analytic",
             "agent": {"batch_size": 8},
         },  # agent overrides need a learning policy
+        # Unknown keys, at every level of an inline env.
+        inline("slicing", {**ANALYTIC, "demand_change": {"10": [0.5, 1.5, 0.1]}}),
+        inline("mec", {**MEC, "latency_ref": 1.0}),
+        inline("slicing", {**EMULATED, "services": [{**VIDEO, "bitrate": 2.0}, VOICE, CHAT]}),
+        inline("slicing", {**EMULATED, "services": [VIDEO, {**VOICE, "file_size": 1.0}, CHAT]}),
+        inline("mec", {**MEC, "topology": {**MEC["topology"], "latency": 1.0}}),
+        inline("mec", {**MEC, "arrivals": {**MEC["arrivals"], "mean": 10.0}}),
+        inline("mec", {**MEC, "topology": {**MEC["topology"], "link_rate": 500.0}}),
+        # Values a constructor must not truncate or let through.
+        inline("slicing", {**EMULATED, "services": [{**VIDEO, "cycle_length": 10.5}, VOICE, CHAT]}),
+        inline("mec", {**MEC, "arrivals": {"kind": "fixed", "sizes": [NAN, 18.0, 8.0, 6.0]}}),
+        inline("slicing", {**ANALYTIC, "demands": [NAN, 1.0, 0.1]}),
+        inline("mec", {**MEC, "topology": {**MEC["topology"], "tau": float("inf")}}),
+        inline("mec", {**MEC, "topology": {**MEC["topology"], "neighbors": [[1.5], [0], [], []]}}),
     ],
 )
 def test_bad_configs_raise_config_error(payload):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(payload)
+
+
+def test_configs_built_in_code_meet_the_load_checks():
+    for cfg in (
+        slicing_config(seed=-1),
+        slicing_config(seed=True),
+        mec_config(eval_slots=-1),
+        mec_config(eval_slots=2.5),
+    ):
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+
+def test_env_from_dict_inverts_to_dict():
+    for scenario, env in (("slicing", ANALYTIC), ("slicing", EMULATED), ("mec", MEC)):
+        assert ExperimentConfig.from_dict(inline(scenario, env)).env.to_dict() == env
+    shorthand = {**MEC["topology"], "link_rate": 500.0}
+    del shorthand["link_rates"]  # mec-small links every pair at 500
+    assert ExperimentConfig.from_dict(
+        inline("mec", {**MEC, "topology": shorthand})
+    ).env.to_dict() == MEC
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.stem
+)
+def test_shipped_configs_load_and_run(path, tmp_path):
+    config = replace(ExperimentConfig.from_json(path), total_steps=3)
+    records = load_metrics(run_experiment(config, tmp_path / "metrics.jsonl"))
+    assert len(records) == 3 + config.eval_slots
 
 
 def test_unknown_agent_override_raises():
