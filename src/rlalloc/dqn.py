@@ -17,15 +17,11 @@ import numpy as np
 
 from rlalloc.exceptions import TrainingDiverged
 from rlalloc.numerics import (
-    adam_from_payload,
     adam_init,
     adam_step,
-    adam_to_payload,
     mlp_forward,
-    mlp_from_payload,
     mlp_gradients,
     mlp_init,
-    mlp_to_payload,
     soft_update,
 )
 from rlalloc.replay import Batch
@@ -50,6 +46,8 @@ class DqnHyperparams:
     hidden: tuple[int, ...] = (256, 256)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ValueError(f"hidden must be a list of layer sizes, got {self.hidden!r}")
         self.hidden = tuple(self.hidden)
 
     def validate(self) -> None:
@@ -138,21 +136,3 @@ class DqnAgent:
     def sync_target(self) -> None:
         """Hard-copy online weights into the target network."""
         soft_update(self.target, self.online, 1.0)
-
-    def to_payload(self) -> dict:
-        return {
-            "state_dim": self.state_dim,
-            "num_actions": self.num_actions,
-            "train_calls": self.train_calls,
-            "online": mlp_to_payload(self.online),
-            "target": mlp_to_payload(self.target),
-            "opt": adam_to_payload(self.opt),
-        }
-
-    def load_payload(self, payload: dict) -> None:
-        if payload["state_dim"] != self.state_dim or payload["num_actions"] != self.num_actions:
-            raise ValueError("checkpoint dimensions do not match this agent")
-        self.train_calls = int(payload["train_calls"])
-        self.online = mlp_from_payload(payload["online"])
-        self.target = mlp_from_payload(payload["target"])
-        self.opt = adam_from_payload(payload["opt"], self.online)

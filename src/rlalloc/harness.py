@@ -295,7 +295,9 @@ _SCENARIOS = {"slicing": _Slicing, "mec": _Mec}
 def _run(config: ExperimentConfig, path: Path) -> None:
     """Train for ``total_steps``, then act greedily for ``eval_slots``; one record per step.
 
-    Everything that can reject the config is built before ``path`` is opened.
+    Everything that can reject the config is built before any file is touched.
+    Records go to ``<path>.partial``, renamed to ``path`` after the last one, so
+    a diverged or killed run leaves only the ``.partial`` file.
     """
     streams = _seed_streams(config.seed)
     hp = _hyperparams(config)
@@ -304,7 +306,9 @@ def _run(config: ExperimentConfig, path: Path) -> None:
     if agent is not None:
         buffer = ReplayBuffer(hp.buffer_capacity, env.observation_dim, scenario.action_dim)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as out:
+    path.unlink(missing_ok=True)  # a stale file must not pass for this run's output
+    partial = path.with_name(path.name + ".partial")
+    with partial.open("w") as out:
         obs = env.reset()
         action = None
         for t in range(1, hp.total_steps + config.eval_slots + 1):
@@ -322,6 +326,7 @@ def _run(config: ExperimentConfig, path: Path) -> None:
                 scenario.after_train(t, record, trained)
             out.write(json.dumps(record) + "\n")
             obs = next_obs
+    partial.replace(path)
 
 
 def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> Path:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -461,8 +461,7 @@ class MecEnv:
 
     Observations concatenate, per server, the previous slot's latency (scaled
     by the latency normalizer, clipped to [0, 1]) and a one-hot of the
-    previous *effective* choice over ``[CORE] + neighbors + [NOOP]``. Slots
-    are 1-based.
+    previous *effective* choice over ``[CORE] + neighbors + [NOOP]``.
     """
 
     def __init__(self, config: MecConfig, rng: np.random.Generator | int | None = None):
@@ -471,7 +470,6 @@ class MecEnv:
         self.topology = config.topology
         self._rng = np.random.default_rng(rng)
         self._latency_ref = config.resolved_latency_ref()
-        self._slot_count = 0
         self._arrivals: Array | None = None
         self._prev_latencies: Array | None = None
         self._prev_effective: tuple[int, ...] | None = None
@@ -485,10 +483,6 @@ class MecEnv:
     @property
     def observation_dim(self) -> int:
         return self._obs_dim
-
-    @property
-    def slot_count(self) -> int:
-        return self._slot_count
 
     @property
     def current_arrivals(self) -> Array:
@@ -510,7 +504,6 @@ class MecEnv:
         return np.concatenate(parts)
 
     def reset(self) -> Array:
-        self._slot_count = 0
         self._prev_latencies = np.zeros(self.num_servers)
         self._prev_effective = tuple(NOOP for _ in range(self.num_servers))
         self._arrivals = self.config.arrivals.draw(self._rng)
@@ -521,7 +514,6 @@ class MecEnv:
         if self._arrivals is None:
             raise RuntimeError("call reset() before stepping the environment")
         outcome = evaluate_action(self.topology, self._arrivals, choices)
-        self._slot_count += 1
         info = {
             "arrivals": self._arrivals.copy(),
             "requested": outcome.requested,

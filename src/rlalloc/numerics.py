@@ -7,11 +7,11 @@ layers use a rectifier; the output layer is either linear or tanh-squashed.
 Each network keeps its parameters in one contiguous float64 vector,
 ``Mlp.flat``, layer by layer (row-major weight matrix, then bias);
 ``weights[l]`` and ``biases[l]`` are views into it. Gradients and Adam
-moments share that layout, so an update, a copy or a checkpoint is a few
-whole-vector operations. ``adam_step`` and ``soft_update`` work in two
-scratch vectors shared by all networks (sized to the largest seen, reused
-across calls; not thread-safe), and apply their elementwise operations in a
-fixed order, so results are bit-for-bit reproducible.
+moments share that layout, so an update or a copy is a few whole-vector
+operations. ``adam_step`` and ``soft_update`` work in two scratch vectors
+shared by all networks (sized to the largest seen, reused across calls; not
+thread-safe), and apply their elementwise operations in a fixed order, so
+results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -277,34 +277,3 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     target.flat *= 1.0 - tau
     target.flat += s
 
-
-def mlp_to_payload(mlp: Mlp) -> dict:
-    """JSON-safe snapshot: layer sizes, output activation, the flat parameters."""
-    return {
-        "layer_sizes": list(mlp.layer_sizes),
-        "output_activation": mlp.output_activation,
-        "params": mlp.flat.tolist(),
-    }
-
-
-def mlp_from_payload(payload: dict) -> Mlp:
-    """Rebuild a network from :func:`mlp_to_payload` output."""
-    act = payload["output_activation"]
-    if act not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"unknown output activation {act!r}")
-    return Mlp(payload["layer_sizes"], np.asarray(payload["params"], dtype=float), act)
-
-
-def adam_to_payload(state: AdamState) -> dict:
-    return dict(vars(state), m=state.m.tolist(), v=state.v.tolist())
-
-
-def adam_from_payload(payload: dict, mlp: Mlp) -> AdamState:
-    m, v = (np.asarray(payload[key], dtype=float) for key in ("m", "v"))
-    if not m.shape == v.shape == mlp.flat.shape:
-        raise ValueError(f"moments must hold {mlp.flat.size} values each")
-    state = adam_init(mlp, payload["learning_rate"])
-    state.beta1, state.beta2 = payload["beta1"], payload["beta2"]
-    state.epsilon, state.step_count = payload["epsilon"], int(payload["step_count"])
-    state.m, state.v = m, v
-    return state

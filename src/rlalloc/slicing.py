@@ -65,9 +65,10 @@ class SliceConfig:
         self.ideal_scores = np.asarray(self.ideal_scores, dtype=float)
         if self.demands is not None:
             self.demands = np.asarray(self.demands, dtype=float)
+        if not isinstance(self.demand_changes, dict):
+            raise ValueError(f"demand_changes must be an object, got {self.demand_changes!r}")
         self.demand_changes = {
-            int(step): np.asarray(vec, dtype=float)
-            for step, vec in dict(self.demand_changes).items()
+            int(step): np.asarray(vec, dtype=float) for step, vec in self.demand_changes.items()
         }
         if self.latency_weights is not None:
             self.latency_weights = np.asarray(self.latency_weights, dtype=float)
@@ -110,6 +111,11 @@ class SliceConfig:
                     raise ValueError(f"demand-change step must be >= 1, got {step}")
                 if vec.shape != (i,) or not _positive(vec):
                     raise ValueError(f"demand change at step {step} must be {i} positive values")
+            unread = {
+                "services": self.services is not None,
+                "latency_weights": self.latency_weights is not None,
+                "step_duration": self.step_duration != 1.0,
+            }
         else:
             if self.services is None or len(self.services) != i:
                 raise ValueError(f"emulated mode needs one service profile per slice ({i})")
@@ -117,6 +123,10 @@ class SliceConfig:
                 raise ValueError(f"emulated mode needs latency_weights of shape ({i},)")
             if not _positive(self.latency_weights):
                 raise ValueError("latency_weights must be positive and finite")
+            unread = {"demands": self.demands is not None, "demand_changes": self.demand_changes}
+        for name, given in unread.items():
+            if given:
+                raise ValueError(f"{self.mode} mode does not read {name!r}; remove it")
 
     def demands_at(self, step: int) -> Array:
         """Demand vector in force at 1-based step ``step`` (analytic mode)."""

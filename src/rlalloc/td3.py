@@ -19,15 +19,11 @@ import numpy as np
 
 from rlalloc.exceptions import TrainingDiverged
 from rlalloc.numerics import (
-    adam_from_payload,
     adam_init,
     adam_step,
-    adam_to_payload,
     mlp_forward,
-    mlp_from_payload,
     mlp_gradients,
     mlp_init,
-    mlp_to_payload,
     soft_update,
 )
 from rlalloc.replay import Batch
@@ -57,8 +53,11 @@ class Td3Hyperparams:
     critic_hidden: tuple[int, ...] = (256, 256)
 
     def __post_init__(self) -> None:
-        self.actor_hidden = tuple(self.actor_hidden)
-        self.critic_hidden = tuple(self.critic_hidden)
+        for name in ("actor_hidden", "critic_hidden"):
+            sizes = getattr(self, name)
+            if not isinstance(sizes, (list, tuple)):
+                raise ValueError(f"{name} must be a list of layer sizes, got {sizes!r}")
+            setattr(self, name, tuple(sizes))
 
     def validate(self) -> None:
         if not (self.critic_lr > 0 and self.actor_lr > 0):
@@ -190,33 +189,3 @@ class Td3Agent:
             soft_update(self.critic1_target, self.critic1, hp.soft_tau)
             soft_update(self.critic2_target, self.critic2, hp.soft_tau)
         return critic_loss, actor_loss
-
-    def to_payload(self) -> dict:
-        return {
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "train_calls": self.train_calls,
-            "actor": mlp_to_payload(self.actor),
-            "critic1": mlp_to_payload(self.critic1),
-            "critic2": mlp_to_payload(self.critic2),
-            "actor_target": mlp_to_payload(self.actor_target),
-            "critic1_target": mlp_to_payload(self.critic1_target),
-            "critic2_target": mlp_to_payload(self.critic2_target),
-            "actor_opt": adam_to_payload(self.actor_opt),
-            "critic1_opt": adam_to_payload(self.critic1_opt),
-            "critic2_opt": adam_to_payload(self.critic2_opt),
-        }
-
-    def load_payload(self, payload: dict) -> None:
-        if payload["state_dim"] != self.state_dim or payload["action_dim"] != self.action_dim:
-            raise ValueError("checkpoint dimensions do not match this agent")
-        self.train_calls = int(payload["train_calls"])
-        self.actor = mlp_from_payload(payload["actor"])
-        self.critic1 = mlp_from_payload(payload["critic1"])
-        self.critic2 = mlp_from_payload(payload["critic2"])
-        self.actor_target = mlp_from_payload(payload["actor_target"])
-        self.critic1_target = mlp_from_payload(payload["critic1_target"])
-        self.critic2_target = mlp_from_payload(payload["critic2_target"])
-        self.actor_opt = adam_from_payload(payload["actor_opt"], self.actor)
-        self.critic1_opt = adam_from_payload(payload["critic1_opt"], self.critic1)
-        self.critic2_opt = adam_from_payload(payload["critic2_opt"], self.critic2)

@@ -14,6 +14,7 @@ from rlalloc.exceptions import TrainingDiverged
 from rlalloc.harness import load_metrics
 from rlalloc.mec import small_contention_config
 from rlalloc.slicing import default_analytic_config
+from rlalloc.td3 import Td3Agent
 
 
 def write_config(tmp_path, name, payload):
@@ -128,9 +129,21 @@ ANALYTIC_ENV = default_analytic_config().to_dict()
              "env": dict(small_contention_config().to_dict(), latency_ref=1.0)},
             "latency_ref",
         ),
+        ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {"hidden": 5}},
+         "hidden must be a list of layer sizes, got 5"),
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"actor_hidden": 5}}, "actor_hidden must be a list of layer sizes, got 5"),
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"critic_hidden": 5}}, "critic_hidden must be a list of layer sizes, got 5"),
+        (
+            {"scenario": "slicing", "policy": "sra",
+             "env": dict(ANALYTIC_ENV, demand_changes=[1, 2])},
+            "demand_changes must be an object, got [1, 2]",
+        ),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
-         "latency-ref"],
+         "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
+         "demand-changes-list"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)
@@ -159,6 +172,36 @@ def test_training_diverged_exits_3(sra_config, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(["run", "--config", str(sra_config)]) == 3
     assert "training aborted" in capsys.readouterr().err
+
+
+def test_diverged_run_leaves_only_partial_file(tmp_path, monkeypatch, capsys):
+    train_step = Td3Agent.train_step
+    calls = []
+
+    def diverge_on_third_call(self, batch):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TrainingDiverged("critic loss is not finite: nan")
+        return train_step(self, batch)
+
+    monkeypatch.setattr(Td3Agent, "train_step", diverge_on_third_call)
+    config = write_config(
+        tmp_path,
+        "td3.json",
+        {"scenario": "slicing", "policy": "td3", "env": "slicing-analytic", "total_steps": 10,
+         "agent": {"actor_hidden": [8], "critic_hidden": [8], "batch_size": 2,
+                   "buffer_capacity": 16, "exploration_steps": 2}},
+    )
+    out = tmp_path / "m.jsonl"
+    out.write_text("stale\n")
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "training aborted: critic loss is not finite: nan\n"
+    assert not out.exists()
+    partial = tmp_path / "m.jsonl.partial"
+    text = partial.read_text()
+    assert text.endswith("\n")
+    # Training starts at step 2 (batch size 2), so the 3rd train call is step 4's.
+    assert [json.loads(line)["step"] for line in text.splitlines()] == [1, 2, 3]
 
 
 def test_oracle_subcommand(sra_config, capsys):

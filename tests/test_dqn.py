@@ -1,7 +1,5 @@
 """Unit tests for the cost-minimizing Q-learner."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -164,23 +162,6 @@ def test_training_diverged_on_huge_rewards():
     batch = Batch(batch.states, batch.actions, batch.rewards + 1e200, batch.next_states)
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
         agent.train_step(batch)
-
-
-def test_checkpoint_round_trip_through_json():
-    hp = tiny_hp()
-    agent = DqnAgent(3, 4, hp, rng=17)
-    rng = np.random.default_rng(18)
-    for _ in range(3):
-        agent.train_step(make_batch(rng, hp.batch_size, 3, 4))
-    payload = json.loads(json.dumps(agent.to_payload()))
-    clone = DqnAgent(3, 4, tiny_hp(), rng=99)
-    clone.load_payload(payload)
-    assert clone.train_calls == agent.train_calls
-    s = np.array([0.2, 0.4, -0.6])
-    np.testing.assert_array_equal(clone.q_values(s), agent.q_values(s))
-    np.testing.assert_array_equal(
-        mlp_forward(clone.target, s[None, :])[0], mlp_forward(agent.target, s[None, :])[0]
-    )
 
 
 def test_agent_init_is_deterministic():

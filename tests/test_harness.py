@@ -181,6 +181,12 @@ def test_env_dict_round_trip():
         inline("slicing", {**ANALYTIC, "demands": [NAN, 1.0, 0.1]}),
         inline("mec", {**MEC, "topology": {**MEC["topology"], "tau": float("inf")}}),
         inline("mec", {**MEC, "topology": {**MEC["topology"], "neighbors": [[1.5], [0], [], []]}}),
+        # Fields the env's mode never reads.
+        inline("slicing", {**EMULATED, "demands": [1.0, 1.0, 0.1]}),
+        inline("slicing", {**EMULATED, "demand_changes": {"10": [0.5, 1.5, 0.1]}}),
+        inline("slicing", {**ANALYTIC, "services": EMULATED["services"]}),
+        inline("slicing", {**ANALYTIC, "latency_weights": [2.0, 1.0, 1.0]}),
+        inline("slicing", {**ANALYTIC, "step_duration": 0.5}),
     ],
 )
 def test_bad_configs_raise_config_error(payload):

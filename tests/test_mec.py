@@ -335,7 +335,6 @@ def test_env_step_round_trip():
     assert l_max == pytest.approx(0.174667, abs=1e-6)
     assert info["effective"] == (3, 2, NOOP, NOOP)
     assert obs.shape == (24,)
-    assert env.slot_count == 1
     # Fixed arrivals: next slot sees the same sizes.
     np.testing.assert_array_equal(env.current_arrivals, [24.0, 18.0, 8.0, 6.0])
 

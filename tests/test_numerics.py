@@ -5,15 +5,11 @@ import pytest
 
 from rlalloc.numerics import (
     Mlp,
-    adam_from_payload,
     adam_init,
     adam_step,
-    adam_to_payload,
     mlp_forward,
-    mlp_from_payload,
     mlp_gradients,
     mlp_init,
-    mlp_to_payload,
     soft_update,
 )
 
@@ -268,47 +264,6 @@ def test_soft_update_blend_and_bounds():
     mismatched = mlp_init([2, 4, 1], "linear", rng=rng)
     with pytest.raises(ValueError):
         soft_update(target, mismatched, 0.5)
-
-
-def test_mlp_payload_round_trip():
-    rng = np.random.default_rng(8)
-    mlp = mlp_init([3, 5, 2], "tanh", rng=rng)
-    clone = mlp_from_payload(mlp_to_payload(mlp))
-    assert clone.layer_sizes == mlp.layer_sizes
-    assert clone.output_activation == mlp.output_activation
-    x = rng.normal(size=(4, 3))
-    y0, _ = mlp_forward(mlp, x)
-    y1, _ = mlp_forward(clone, x)
-    np.testing.assert_array_equal(y0, y1)
-
-
-def test_adam_payload_round_trip():
-    rng = np.random.default_rng(9)
-    mlp = mlp_init([2, 4, 1], "linear", rng=rng)
-    state = adam_init(mlp, learning_rate=0.02)
-    x = rng.normal(size=(3, 2))
-    for _ in range(3):
-        y, cache = mlp_forward(mlp, x)
-        adam_step(mlp, mlp_gradients(mlp, cache, 2 * y), state)
-    restored = adam_from_payload(adam_to_payload(state), mlp)
-    assert restored.step_count == state.step_count
-    assert restored.learning_rate == state.learning_rate
-    np.testing.assert_array_equal(restored.m, state.m)
-    np.testing.assert_array_equal(restored.v, state.v)
-    assert restored.m.shape == restored.v.shape == (mlp.parameter_count(),)
-
-
-def test_payloads_reject_wrong_lengths():
-    rng = np.random.default_rng(13)
-    mlp = mlp_init([2, 4, 1], "linear", rng=rng)
-    payload = mlp_to_payload(mlp)
-    payload["params"] = payload["params"][:-1]
-    with pytest.raises(ValueError):
-        mlp_from_payload(payload)
-    state_payload = adam_to_payload(adam_init(mlp, learning_rate=0.02))
-    state_payload["v"] = [0.0]
-    with pytest.raises(ValueError):
-        adam_from_payload(state_payload, mlp)
 
 
 def test_copy_is_deep():

@@ -1,7 +1,5 @@
 """Unit tests for the twin-critic actor-critic learner."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -232,33 +230,6 @@ def test_training_diverged_on_huge_rewards():
     batch = Batch(batch.states, batch.actions, batch.rewards + 1e200, batch.next_states)
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
         agent.train_step(batch)
-
-
-def test_checkpoint_round_trip_through_json():
-    hp = tiny_hp(policy_delay=1)
-    agent = Td3Agent(3, 2, hp, rng=0)
-    rng = np.random.default_rng(17)
-    for _ in range(3):
-        agent.train_step(make_batch(rng, hp.batch_size, 3, 2))
-    payload = json.loads(json.dumps(agent.to_payload()))
-    clone = Td3Agent(3, 2, tiny_hp(policy_delay=1), rng=99)
-    clone.load_payload(payload)
-    assert clone.train_calls == agent.train_calls
-    s = np.array([0.3, -0.2, 0.5])
-    np.testing.assert_array_equal(
-        clone.select_action(s, "eval"), agent.select_action(s, "eval")
-    )
-    q_in = np.hstack([s, clone.select_action(s, "eval")])
-    np.testing.assert_array_equal(
-        mlp_forward(clone.critic1, q_in)[0], mlp_forward(agent.critic1, q_in)[0]
-    )
-
-
-def test_checkpoint_rejects_wrong_dimensions():
-    agent = Td3Agent(3, 2, tiny_hp(), rng=0)
-    other = Td3Agent(4, 2, tiny_hp(), rng=0)
-    with pytest.raises(ValueError):
-        other.load_payload(agent.to_payload())
 
 
 def test_agent_init_is_deterministic():
