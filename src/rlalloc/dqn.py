@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged
+from rlalloc.exceptions import TrainingDiverged, is_count
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -51,22 +51,23 @@ class DqnHyperparams:
         self.hidden = tuple(self.hidden)
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0 <= self.discount <= 1:
-            raise ValueError("discount must lie in [0, 1]")
-        if not 0 <= self.epsilon <= 1:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.target_sync_period < 1:
-            raise ValueError("target_sync_period must be >= 1")
-        if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
-            raise ValueError("need buffer_capacity >= batch_size >= 1")
-        if not 0 <= self.exploration_steps <= self.total_steps:
-            raise ValueError("need 0 <= exploration_steps <= total_steps")
-        if not all(
-            isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1
-            for h in self.hidden
-        ):
+        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("discount", "epsilon"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        for name, minimum in (("target_sync_period", 1), ("batch_size", 1), ("buffer_capacity", 1),
+                              ("exploration_steps", 0), ("total_steps", 0)):
+            value = getattr(self, name)
+            if not is_count(value, minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("need buffer_capacity >= batch_size")
+        if self.exploration_steps > self.total_steps:
+            raise ValueError("need exploration_steps <= total_steps")
+        if not all(is_count(h, 1) for h in self.hidden):
             raise ValueError("hidden layer sizes must be positive integers")
 
 
@@ -93,7 +94,6 @@ class DqnAgent:
         self.online = mlp_init(sizes, "linear", rng=init_rng)
         self.target = self.online.copy()
         self.opt = adam_init(self.online, hp.learning_rate)
-        self.train_calls = 0
 
     def q_values(self, state: Array) -> Array:
         q, _ = mlp_forward(self.online, np.asarray(state, dtype=float))
@@ -130,7 +130,6 @@ class DqnAgent:
         grad_out = np.zeros_like(q_all)
         grad_out[np.arange(n), taken] = 2.0 * err / n
         adam_step(self.online, mlp_gradients(self.online, cache, grad_out), self.opt)
-        self.train_calls += 1
         return loss
 
     def sync_target(self) -> None:

@@ -1,4 +1,6 @@
-"""Package-level error types."""
+"""Package-level error types, and the integer test every config check shares."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -7,3 +9,8 @@ class ConfigError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """A training loss went non-finite; the run must abort (CLI exit code 3)."""
+
+
+def is_count(value: object, minimum: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``minimum``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum

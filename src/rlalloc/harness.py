@@ -46,7 +46,7 @@ import numpy as np
 from rlalloc import mec as mec_mod
 from rlalloc import slicing as slicing_mod
 from rlalloc.dqn import DqnAgent, DqnHyperparams
-from rlalloc.exceptions import ConfigError
+from rlalloc.exceptions import ConfigError, is_count
 from rlalloc.mec import MecConfig, MecEnv
 from rlalloc.replay import ReplayBuffer, Transition
 from rlalloc.slicing import SliceConfig, SlicingEnv
@@ -63,11 +63,6 @@ ENV_PRESETS: dict[str, Callable[[], SliceConfig | MecConfig]] = {
 }
 
 
-def _is_count(value: object, minimum: int) -> bool:
-    """Whether ``value`` is an integer (not a bool) of at least ``minimum``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -79,9 +74,9 @@ class ExperimentConfig:
     eval_slots: int = 0
 
     def validate(self) -> None:
-        if not _is_count(self.seed, 0):
+        if not is_count(self.seed, 0):
             raise ConfigError(f"'seed' must be a non-negative integer, got {self.seed!r}")
-        if not _is_count(self.eval_slots, 0):
+        if not is_count(self.eval_slots, 0):
             raise ConfigError(f"'eval_slots' must be an integer >= 0, got {self.eval_slots!r}")
         if self.eval_slots and self.policy not in ("td3", "dqn"):
             raise ConfigError("eval_slots only applies to learning policies (td3/dqn)")
@@ -97,7 +92,7 @@ class ExperimentConfig:
             )
         if not isinstance(self.env, SliceConfig if slicing else MecConfig):
             raise ConfigError(f"scenario {self.scenario!r} needs a {self.scenario} env config")
-        if self.total_steps is not None and not _is_count(self.total_steps, 1):
+        if self.total_steps is not None and not is_count(self.total_steps, 1):
             raise ConfigError(f"total_steps must be an integer >= 1, got {self.total_steps!r}")
         try:
             self.env.validate()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,12 +77,15 @@ class EdgeTopology:
     core_rate: float
     tau: float
     cycles_per_bit: float
+    # Derived from neighbors, not a constructor argument: (CORE, *neighbors) per server.
+    routing_choices: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.capacities = np.asarray(self.capacities, dtype=float)
         # operator.index takes integers only: a neighbor id of 1.9 is an error, not 1.
         self.neighbors = tuple(tuple(sorted(map(operator.index, ns))) for ns in self.neighbors)
         self.link_rates = np.asarray(self.link_rates, dtype=float)
+        self.routing_choices = tuple((CORE, *ns) for ns in self.neighbors)
 
     @property
     def num_servers(self) -> int:
@@ -236,34 +239,21 @@ def default_mec_config() -> MecConfig:
     complete graph and servers 2 and 4 bridge the areas, so server 2 has four
     neighbors. All link rates and the core rate are 150.
     """
-    neighbors = (
-        (2, 3, 6),
-        (4, 5),
-        (0, 3, 4, 6),
-        (0, 2, 6),
-        (1, 2, 5),
-        (1, 4),
-        (0, 2, 3),
-    )
-    n = 7
-    link_rates = np.zeros((n, n))
-    for a, ns in enumerate(neighbors):
-        for b in ns:
-            link_rates[a, b] = 150.0
-    topology = EdgeTopology(
-        capacities=np.array([1000.0, 1000.0, 3000.0, 1000.0, 3000.0, 1000.0, 3000.0]),
-        neighbors=neighbors,
-        link_rates=link_rates,
-        core_rate=150.0,
-        tau=0.1,
-        cycles_per_bit=10.0,
-    )
-    arrivals = ArrivalModel(
-        "uniform",
-        low=np.array([8.0, 2.0, 8.0, 8.0, 2.0, 2.0, 8.0]),
-        high=np.array([30.0, 10.0, 30.0, 30.0, 10.0, 10.0, 30.0]),
-    )
-    return MecConfig(topology=topology, arrivals=arrivals)
+    return MecConfig.from_dict({
+        "topology": {
+            "capacities": [1000.0, 1000.0, 3000.0, 1000.0, 3000.0, 1000.0, 3000.0],
+            "neighbors": [[2, 3, 6], [4, 5], [0, 3, 4, 6], [0, 2, 6], [1, 2, 5], [1, 4], [0, 2, 3]],
+            "link_rate": 150.0,
+            "core_rate": 150.0,
+            "tau": 0.1,
+            "cycles_per_bit": 10.0,
+        },
+        "arrivals": {
+            "kind": "uniform",
+            "low": [8.0, 2.0, 8.0, 8.0, 2.0, 2.0, 8.0],
+            "high": [30.0, 10.0, 30.0, 30.0, 10.0, 10.0, 30.0],
+        },
+    })
 
 
 def small_contention_config() -> MecConfig:
@@ -274,20 +264,17 @@ def small_contention_config() -> MecConfig:
     (C=3000) can absorb either but only one per slot. Fast inter-server links
     (500) against a slow core (100) make routing decisions matter.
     """
-    n = 4
-    neighbors = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
-    link_rates = np.full((n, n), 500.0)
-    np.fill_diagonal(link_rates, 0.0)
-    topology = EdgeTopology(
-        capacities=np.array([1000.0, 1000.0, 2000.0, 3000.0]),
-        neighbors=neighbors,
-        link_rates=link_rates,
-        core_rate=100.0,
-        tau=0.1,
-        cycles_per_bit=10.0,
-    )
-    arrivals = ArrivalModel("fixed", sizes=np.array([24.0, 18.0, 8.0, 6.0]))
-    return MecConfig(topology=topology, arrivals=arrivals)
+    return MecConfig.from_dict({
+        "topology": {
+            "capacities": [1000.0, 1000.0, 2000.0, 3000.0],
+            "neighbors": [[j for j in range(4) if j != i] for i in range(4)],
+            "link_rate": 500.0,
+            "core_rate": 100.0,
+            "tau": 0.1,
+            "cycles_per_bit": 10.0,
+        },
+        "arrivals": {"kind": "fixed", "sizes": [24.0, 18.0, 8.0, 6.0]},
+    })
 
 
 @dataclass
@@ -329,10 +316,8 @@ def evaluate_action(
         if overflow[i] == 0.0:
             requested.append(NOOP)
             continue
-        if c == NOOP:
-            raise ValueError(f"server {i} has overflow; no-op is not a valid choice")
-        if c != CORE and c not in topology.neighbors[i]:
-            raise ValueError(f"server {i} cannot offload to {c}: not core or a neighbor")
+        if c not in topology.routing_choices[i]:
+            raise ValueError(f"server {i} overflows: {c} is not in {topology.routing_choices[i]}")
         requested.append(c)
 
     # Contention: a target accepts at most one request per slot, only when it
@@ -385,19 +370,9 @@ def evaluate_action(
     )
 
 
-def _per_server_options(
-    topology: EdgeTopology, overflowing: np.ndarray | list[bool]
-) -> list[list[int]]:
-    options: list[list[int]] = []
-    for i, over in enumerate(overflowing):
-        if over:
-            options.append([CORE] + list(topology.neighbors[i]))
-        else:
-            options.append([NOOP])
-    return options
-
-
-def _checked_product(options: list[list[int]]) -> list[tuple[int, ...]]:
+def _joint_actions(topology: EdgeTopology, overflowing: Array) -> list[tuple[int, ...]]:
+    """Every joint choice: an overflowing server's routing choices, else ``NOOP``."""
+    options = [r if over else (NOOP,) for r, over in zip(topology.routing_choices, overflowing)]
     count = math.prod(len(o) for o in options)
     if count > ENUMERATION_CEILING:
         raise ValueError(
@@ -413,7 +388,7 @@ def enumerate_valid_actions(
     """All valid joint choices for one slot, in lexicographic order."""
     slot_cap = topology.slot_capacity()
     sizes = np.asarray(arrival_sizes, dtype=float)
-    return _checked_product(_per_server_options(topology, sizes > slot_cap))
+    return _joint_actions(topology, sizes > slot_cap)
 
 
 def action_catalog(config: MecConfig) -> list[tuple[int, ...]]:
@@ -426,7 +401,7 @@ def action_catalog(config: MecConfig) -> list[tuple[int, ...]]:
     """
     slot_cap = config.topology.slot_capacity()
     can_overflow = config.arrivals.max_sizes() > slot_cap
-    return _checked_product(_per_server_options(config.topology, can_overflow))
+    return _joint_actions(config.topology, can_overflow)
 
 
 def brute_force_optimal(
@@ -452,16 +427,21 @@ def random_routing(
     """Uniform random valid choice per server (the random baseline)."""
     slot_cap = topology.slot_capacity()
     sizes = np.asarray(arrival_sizes, dtype=float)
-    options = _per_server_options(topology, sizes > slot_cap)
-    return tuple(opts[rng.integers(0, len(opts))] for opts in options)
+    # Only overflowing servers draw; a one-entry draw, integers(0, 1), would consume nothing.
+    return tuple(
+        routes[rng.integers(0, len(routes))] if over else NOOP
+        for routes, over in zip(topology.routing_choices, sizes > slot_cap)
+    )
 
 
 class MecEnv:
     """Slot-by-slot offloading environment.
 
-    Observations concatenate, per server, the previous slot's latency (scaled
-    by the latency normalizer, clipped to [0, 1]) and a one-hot of the
-    previous *effective* choice over ``[CORE] + neighbors + [NOOP]``.
+    The observation holds one block per server, in server order: the previous
+    slot's latency over the latency normalizer, clipped to [0, 1], then a
+    one-hot of the previous *effective* choice over ``[CORE] + neighbors +
+    [NOOP]`` (neighbors ascending). A server with ``n`` neighbors takes
+    ``n + 3`` entries. After ``reset`` every latency is 0 and every choice NOOP.
     """
 
     def __init__(self, config: MecConfig, rng: np.random.Generator | int | None = None):
@@ -473,8 +453,12 @@ class MecEnv:
         self._arrivals: Array | None = None
         self._prev_latencies: Array | None = None
         self._prev_effective: tuple[int, ...] | None = None
-        # Per server: its latency, then a one-hot over [CORE] + neighbors + [NOOP].
-        self._obs_dim = sum(3 + len(ns) for ns in self.topology.neighbors)
+        # Observation position of each (server, choice) one-hot entry; choice None is the latency.
+        routes = self.topology.routing_choices
+        keys = [(i, c) for i, rs in enumerate(routes) for c in (None, *rs, NOOP)]
+        self._pos = {key: pos for pos, key in enumerate(keys)}
+        self._latency_pos = np.array([self._pos[i, None] for i in range(self.num_servers)])
+        self._obs_dim = len(keys)
 
     @property
     def num_servers(self) -> int:
@@ -490,18 +474,11 @@ class MecEnv:
             raise RuntimeError("call reset() before reading arrivals")
         return self._arrivals
 
-    def _choice_onehot(self, server: int, choice: int) -> Array:
-        slots = [CORE] + list(self.topology.neighbors[server]) + [NOOP]
-        vec = np.zeros(len(slots))
-        vec[slots.index(choice)] = 1.0
-        return vec
-
     def _observation(self) -> Array:
-        parts = []
-        for i in range(self.num_servers):
-            lat = np.clip(self._prev_latencies[i] / self._latency_ref, 0.0, 1.0)
-            parts.append(np.concatenate([[lat], self._choice_onehot(i, self._prev_effective[i])]))
-        return np.concatenate(parts)
+        obs = np.zeros(self._obs_dim)
+        obs[self._latency_pos] = np.clip(self._prev_latencies / self._latency_ref, 0.0, 1.0)
+        obs[[self._pos[key] for key in enumerate(self._prev_effective)]] = 1.0
+        return obs
 
     def reset(self) -> Array:
         self._prev_latencies = np.zeros(self.num_servers)
@@ -514,12 +491,12 @@ class MecEnv:
         if self._arrivals is None:
             raise RuntimeError("call reset() before stepping the environment")
         outcome = evaluate_action(self.topology, self._arrivals, choices)
-        info = {
-            "arrivals": self._arrivals.copy(),
+        info = {  # every value is new this slot and never mutated afterwards: no copies
+            "arrivals": self._arrivals,
             "requested": outcome.requested,
             "effective": outcome.effective,
-            "accepted": dict(outcome.accepted),
-            "overflow": outcome.overflow.copy(),
+            "accepted": outcome.accepted,
+            "overflow": outcome.overflow,
         }
         self._prev_latencies = outcome.latencies
         self._prev_effective = outcome.effective

@@ -35,6 +35,17 @@ SCORE_EXPONENT = 1.1
 MODES = ("analytic", "emulated")
 
 
+def _vector(name: str, value: object) -> Array:
+    """``value`` as a 1-D float array; anything else is an error that names ``name``."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.ndim != 1:
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return vec
+
+
 def _positive(values: Array) -> bool:
     """Whether every entry is positive and finite (NaN is neither)."""
     return bool(np.all((values > 0) & (values < np.inf)))
@@ -60,18 +71,24 @@ class SliceConfig:
     step_duration: float = 1.0
 
     def __post_init__(self) -> None:
-        self.k_min = np.asarray(self.k_min, dtype=float)
-        self.k_max = np.asarray(self.k_max, dtype=float)
-        self.ideal_scores = np.asarray(self.ideal_scores, dtype=float)
+        self.k_min = _vector("k_min", self.k_min)
+        self.k_max = _vector("k_max", self.k_max)
+        self.ideal_scores = _vector("ideal_scores", self.ideal_scores)
         if self.demands is not None:
-            self.demands = np.asarray(self.demands, dtype=float)
+            self.demands = _vector("demands", self.demands)
         if not isinstance(self.demand_changes, dict):
             raise ValueError(f"demand_changes must be an object, got {self.demand_changes!r}")
+        try:
+            steps = [int(step) for step in self.demand_changes]
+        except (TypeError, ValueError):
+            keys = list(self.demand_changes)
+            raise ValueError(f"demand_changes keys must be integer steps, got {keys}")
         self.demand_changes = {
-            int(step): np.asarray(vec, dtype=float) for step, vec in self.demand_changes.items()
+            step: _vector(f"demand change at step {step}", vec)
+            for step, vec in zip(steps, self.demand_changes.values())
         }
         if self.latency_weights is not None:
-            self.latency_weights = np.asarray(self.latency_weights, dtype=float)
+            self.latency_weights = _vector("latency_weights", self.latency_weights)
 
     @property
     def num_slices(self) -> int:

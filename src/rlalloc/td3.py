@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged
+from rlalloc.exceptions import TrainingDiverged, is_count
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -60,26 +60,29 @@ class Td3Hyperparams:
             setattr(self, name, tuple(sizes))
 
     def validate(self) -> None:
-        if not (self.critic_lr > 0 and self.actor_lr > 0):
-            raise ValueError("learning rates must be positive")
-        if self.exploration_sigma < 0 or self.smoothing_sigma < 0:
-            raise ValueError("noise scales must be non-negative")
-        if self.smoothing_clip <= 0:
-            raise ValueError("smoothing_clip must be positive")
+        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
+        for name in ("critic_lr", "actor_lr", "smoothing_clip"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("exploration_sigma", "smoothing_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if not 0 <= self.discount <= 1:
-            raise ValueError("discount must lie in [0, 1]")
+            raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
         if not 0 < self.soft_tau <= 1:
-            raise ValueError("soft_tau must lie in (0, 1]")
-        if self.policy_delay < 1:
-            raise ValueError("policy_delay must be >= 1")
-        if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
-            raise ValueError("need buffer_capacity >= batch_size >= 1")
-        if not 0 <= self.exploration_steps <= self.total_steps:
-            raise ValueError("need 0 <= exploration_steps <= total_steps")
-        if not all(
-            isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1
-            for h in self.actor_hidden + self.critic_hidden
-        ):
+            raise ValueError(f"soft_tau must lie in (0, 1], got {self.soft_tau}")
+        for name, minimum in (("policy_delay", 1), ("batch_size", 1), ("buffer_capacity", 1),
+                              ("exploration_steps", 0), ("total_steps", 0)):
+            value = getattr(self, name)
+            if not is_count(value, minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("need buffer_capacity >= batch_size")
+        if self.exploration_steps > self.total_steps:
+            raise ValueError("need exploration_steps <= total_steps")
+        if not all(is_count(h, 1) for h in self.actor_hidden + self.critic_hidden):
             raise ValueError("hidden layer sizes must be positive integers")
 
 

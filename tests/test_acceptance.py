@@ -130,6 +130,7 @@ def test_criterion_2_reference_utilities(capsys):
 # beats the even split, and stays within a 10-minute budget per seed.
 
 
+@pytest.mark.slow
 def test_criterion_3_td3_closes_on_optimal(capsys, tmp_path):
     seeds = range(5)
     pre_ratios, post_ratios, sra_below, runtimes = [], [], [], []
@@ -178,6 +179,7 @@ def test_criterion_3_td3_closes_on_optimal(capsys, tmp_path):
 # random routing on mean latency, in at least four of five seeds.
 
 
+@pytest.mark.slow
 def test_criterion_4_dqn_near_optimal_greedy(capsys, tmp_path):
     env = small_contention_config()
     catalog_size = len(action_catalog(env))
@@ -223,6 +225,7 @@ def test_criterion_4_dqn_near_optimal_greedy(capsys, tmp_path):
 # with arrivals shared across epsilon values within each seed.
 
 
+@pytest.mark.slow
 def test_criterion_5_epsilon_ordering(capsys, tmp_path):
     values = [0.1, 0.3, 0.5]
     finals = {eps: [] for eps in values}

@@ -140,10 +140,31 @@ ANALYTIC_ENV = default_analytic_config().to_dict()
              "env": dict(ANALYTIC_ENV, demand_changes=[1, 2])},
             "demand_changes must be an object, got [1, 2]",
         ),
+        *(
+            ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {key: value}}, key)
+            for key, value in (("learning_rate", float("nan")), ("learning_rate", float("inf")),
+                               ("batch_size", 2.5), ("target_sync_period", 2.5))
+        ),
+        *(
+            ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+              "agent": {key: value}}, key)
+            for key, value in (("critic_lr", float("inf")), ("exploration_sigma", float("nan")),
+                               ("smoothing_clip", float("nan")), ("buffer_capacity", 64.5),
+                               ("policy_delay", 1.5))
+        ),
+        *(
+            ({"scenario": "slicing", "policy": "sra", "env": dict(ANALYTIC_ENV, **{key: value})},
+             key)
+            for key, value in (("demand_changes", {"abc": [0.3, 0.3, 0.3]}), ("k_min", "abc"),
+                               ("demands", {"a": 1}))
+        ),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
-         "demand-changes-list"],
+         "demand-changes-list", "dqn-lr-nan", "dqn-lr-inf", "dqn-batch-fraction",
+         "dqn-sync-fraction", "td3-critic-lr-inf", "td3-sigma-nan", "td3-clip-nan",
+         "td3-buffer-fraction", "td3-delay-fraction", "demand-changes-step-abc", "k-min-abc",
+         "demands-object"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)

@@ -119,7 +119,6 @@ def test_train_loss_matches_external_replication():
     expected = replicate_loss(agent, batch, hp.discount)
     loss = agent.train_step(batch)
     assert loss == pytest.approx(expected, rel=1e-12)
-    assert agent.train_calls == 1
 
 
 def test_zero_discount_fits_reward_only():

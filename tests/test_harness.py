@@ -175,6 +175,8 @@ def test_env_dict_round_trip():
         inline("mec", {**MEC, "topology": {**MEC["topology"], "latency": 1.0}}),
         inline("mec", {**MEC, "arrivals": {**MEC["arrivals"], "mean": 10.0}}),
         inline("mec", {**MEC, "topology": {**MEC["topology"], "link_rate": 500.0}}),
+        # A derived topology value is not a key.
+        inline("mec", {**MEC, "topology": {**MEC["topology"], "routing_choices": [[-1]] * 4}}),
         # Values a constructor must not truncate or let through.
         inline("slicing", {**EMULATED, "services": [{**VIDEO, "cycle_length": 10.5}, VOICE, CHAT]}),
         inline("mec", {**MEC, "arrivals": {"kind": "fixed", "sizes": [NAN, 18.0, 8.0, 6.0]}}),

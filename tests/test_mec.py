@@ -109,6 +109,18 @@ def test_default_config_shape():
     assert set(topo.neighbors[1]) == {4, 5}
 
 
+def test_preset_link_matrices_by_value():
+    neighbors = [[2, 3, 6], [4, 5], [0, 3, 4, 6], [0, 2, 6], [1, 2, 5], [1, 4], [0, 2, 3]]
+    seven = np.zeros((7, 7))
+    for a, ns in enumerate(neighbors):
+        seven[a, ns] = 150.0
+    assert np.count_nonzero(seven) == 20
+    np.testing.assert_array_equal(default_mec_config().topology.link_rates, seven)
+    np.testing.assert_array_equal(
+        small_contention_config().topology.link_rates, 500.0 * (1.0 - np.eye(4))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Slot evaluation and contention
 
@@ -317,6 +329,31 @@ def test_env_observation_layout():
     assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
     # Each per-server block is [latency, one-hot choice]: one-hots sum to 7.
     assert obs.sum() == pytest.approx(7.0)  # initial latencies are zero
+
+
+def test_env_observation_matches_per_server_reference():
+    # Per server, written out one at a time: the clipped scaled latency, then a
+    # one-hot of the effective choice over [CORE] + neighbors + [NOOP].
+    for config in (default_mec_config(), small_contention_config()):
+        topo, ref = config.topology, config.resolved_latency_ref()
+        env = MecEnv(config, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        obs = env.reset()
+        latencies, effective = np.zeros(topo.num_servers), (NOOP,) * topo.num_servers
+        seen = set()
+        for _ in range(60):
+            expected = []
+            for i, ns in enumerate(topo.neighbors):
+                slots = [CORE, *ns, NOOP]
+                onehot = [0.0] * len(slots)
+                onehot[slots.index(effective[i])] = 1.0
+                expected += [min(max(latencies[i] / ref, 0.0), 1.0), *onehot]
+            assert np.array_equal(obs, expected)
+            choices = random_routing(topo, env.current_arrivals, rng)
+            obs, latencies, _, info = env.step(choices)
+            effective = info["effective"]
+            seen.update(effective)
+        assert {CORE, NOOP} <= seen and any(c >= 0 for c in seen)
 
 
 def test_env_small_config_observation_dim():
