@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged, is_count
+from rlalloc.exceptions import TrainingDiverged, is_count, is_real
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -52,12 +52,13 @@ class DqnHyperparams:
 
     def validate(self) -> None:
         # Written as "not (good)" so that NaN, which fails every comparison, fails too.
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        lr = self.learning_rate
+        if not (is_real(lr) and 0 < lr < np.inf):
+            raise ValueError(f"learning_rate must be positive and finite, got {lr!r}")
         for name in ("discount", "epsilon"):
             value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            if not (is_real(value) and 0 <= value <= 1):
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         for name, minimum in (("target_sync_period", 1), ("batch_size", 1), ("buffer_capacity", 1),
                               ("exploration_steps", 0), ("total_steps", 0)):
             value = getattr(self, name)

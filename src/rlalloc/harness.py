@@ -192,13 +192,17 @@ class _Slicing:
         elif config.policy == "optimal" and self.cfg.mode != "analytic":
             raise ConfigError("the water-filling policy needs analytic demands")
         self.sra = slicing_mod.sra(self.cfg) if config.policy == "sra" else None
+        self._regime: tuple = (None, None)  # last (demands, water-fill k): demands rarely change
 
     def step(self, t: int, obs: np.ndarray, mode: str, action: np.ndarray | None) -> tuple:
         cfg = self.cfg
         if action is None:
             k = self.sra
             if k is None:
-                k = slicing_mod.water_fill_optimal(cfg.demands_at(t), cfg)
+                demands = cfg.demands_at(t)
+                if not np.array_equal(demands, self._regime[0]):
+                    self._regime = (demands, slicing_mod.water_fill_optimal(demands, cfg))
+                k = self._regime[1]
             next_obs, reward, info = self.env.step_allocation(k)
         else:
             next_obs, reward, info = self.env.step(action)

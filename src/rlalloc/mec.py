@@ -18,7 +18,9 @@ the largest overflow wins, ties break toward the lowest source index. Rejected
 requests fall back to the core. The system metric is ``L(t) = max_i L_i``.
 
 Baselines: ``brute_force_optimal`` scans every valid joint action for one
-slot; ``random_routing`` picks uniformly among each server's valid choices.
+slot, reading a latency table built once per slot, so that an action costs a
+max rather than an ``evaluate_action``; ``random_routing`` picks uniformly
+among each server's valid choices.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from rlalloc.exceptions import is_real
 
 Array = np.ndarray
 
@@ -102,8 +106,10 @@ class EdgeTopology:
             raise ValueError(f"need one neighbor list per server ({i})")
         if self.link_rates.shape != (i, i):
             raise ValueError(f"link_rates must have shape ({i}, {i})")
-        if not all(0 < v < np.inf for v in (self.core_rate, self.tau, self.cycles_per_bit)):
-            raise ValueError("core_rate, tau, and cycles_per_bit must be positive and finite")
+        for name in ("core_rate", "tau", "cycles_per_bit"):
+            value = getattr(self, name)
+            if not (is_real(value) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for a, ns in enumerate(self.neighbors):
             for b in ns:
                 if not 0 <= b < i:
@@ -382,15 +388,6 @@ def _joint_actions(topology: EdgeTopology, overflowing: Array) -> list[tuple[int
     return list(itertools.product(*options))
 
 
-def enumerate_valid_actions(
-    topology: EdgeTopology, arrival_sizes: Array
-) -> list[tuple[int, ...]]:
-    """All valid joint choices for one slot, in lexicographic order."""
-    slot_cap = topology.slot_capacity()
-    sizes = np.asarray(arrival_sizes, dtype=float)
-    return _joint_actions(topology, sizes > slot_cap)
-
-
 def action_catalog(config: MecConfig) -> list[tuple[int, ...]]:
     """Static joint-action list covering every arrival the model can produce.
 
@@ -409,16 +406,36 @@ def brute_force_optimal(
 ) -> tuple[tuple[int, ...], SlotOutcome]:
     """Exhaustive search for the joint choice minimizing the worst latency.
 
-    Ties resolve to the lexicographically first action.
+    ``evaluate_action`` with all overflow at the core gives the local and core
+    latencies; ``offload`` holds each (source, neighbor) pair the neighbor could
+    accept, and any other request reads the core latency. Ties go to the
+    lexicographically first action, so an action in which contention rejects a
+    request is skipped: with that request sent to the core it is an earlier
+    action with the same latencies.
     """
-    best_action: tuple[int, ...] | None = None
-    best: SlotOutcome | None = None
-    for action in enumerate_valid_actions(topology, arrival_sizes):
-        outcome = evaluate_action(topology, arrival_sizes, action)
-        if best is None or outcome.l_max < best.l_max:
-            best_action, best = action, outcome
-    assert best_action is not None and best is not None
-    return best_action, best
+    base = evaluate_action(topology, arrival_sizes, [CORE] * topology.num_servers)
+    topo, sizes = topology, np.asarray(arrival_sizes, dtype=float)
+    over, lat = base.overflow.tolist(), base.latencies.tolist()
+    sources = [i for i, o in enumerate(over) if o > 0.0]
+    local = [lat[i] for i, o in enumerate(over) if o == 0.0]
+    # Spare capacity and feasibility in evaluate_action's order of operations, so the bits match.
+    spare = [topo.tau * c - topo.cycles_per_bit * s for c, s in zip(topo.capacities, sizes)]
+    offload = {
+        (i, j): latency_offload(
+            over[i], topo.tau, topo.link_rates[i, j], topo.capacities[j], topo.cycles_per_bit
+        )
+        for i in sources for j in topo.neighbors[i]
+        if over[j] == 0.0 and topo.cycles_per_bit * over[i] <= spare[j] + 1e-12
+    }
+
+    def l_max(action: tuple[int, ...]) -> float:
+        targets = [action[i] for i in sources if (i, action[i]) in offload]
+        if len(set(targets)) < len(targets):
+            return math.inf  # contention rejects one of the requests
+        return max(local + [offload.get((i, action[i]), lat[i]) for i in sources])
+
+    best = min(_joint_actions(topology, base.overflow > 0.0), key=l_max)  # min keeps the first
+    return best, evaluate_action(topology, arrival_sizes, best)
 
 
 def random_routing(

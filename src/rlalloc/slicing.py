@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlalloc.exceptions import ConfigError
+from rlalloc.exceptions import ConfigError, is_real
 from rlalloc.traffic import ServiceProfile, SliceTraffic, StepStats
 
 Array = np.ndarray
@@ -99,8 +99,8 @@ class SliceConfig:
         i = self.num_slices
         if i < 1:
             raise ValueError("need at least one slice")
-        if not 0 < self.total_bandwidth < np.inf:
-            raise ValueError(f"total_bandwidth must be positive, got {self.total_bandwidth}")
+        if not (is_real(self.total_bandwidth) and 0 < self.total_bandwidth < np.inf):
+            raise ValueError(f"total_bandwidth must be positive, got {self.total_bandwidth!r}")
         for name, arr in (("k_max", self.k_max), ("ideal_scores", self.ideal_scores)):
             if arr.shape != (i,):
                 raise ValueError(f"{name} must have shape ({i},), got {arr.shape}")
@@ -116,8 +116,8 @@ class SliceConfig:
             raise ValueError("ideal_scores must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0 < self.step_duration < np.inf:
-            raise ValueError("step_duration must be positive")
+        if not (is_real(self.step_duration) and 0 < self.step_duration < np.inf):
+            raise ValueError(f"step_duration must be positive, got {self.step_duration!r}")
         if self.mode == "analytic":
             if self.demands is None or self.demands.shape != (i,):
                 raise ValueError(f"analytic mode needs a demand vector of shape ({i},)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged, is_count
+from rlalloc.exceptions import TrainingDiverged, is_count, is_real
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -63,16 +63,16 @@ class Td3Hyperparams:
         # Written as "not (good)" so that NaN, which fails every comparison, fails too.
         for name in ("critic_lr", "actor_lr", "smoothing_clip"):
             value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not (is_real(value) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("exploration_sigma", "smoothing_sigma"):
             value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        if not 0 <= self.discount <= 1:
-            raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
-        if not 0 < self.soft_tau <= 1:
-            raise ValueError(f"soft_tau must lie in (0, 1], got {self.soft_tau}")
+            if not (is_real(value) and 0 <= value < np.inf):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        if not (is_real(self.discount) and 0 <= self.discount <= 1):
+            raise ValueError(f"discount must lie in [0, 1], got {self.discount!r}")
+        if not (is_real(self.soft_tau) and 0 < self.soft_tau <= 1):
+            raise ValueError(f"soft_tau must lie in (0, 1], got {self.soft_tau!r}")
         for name, minimum in (("policy_delay", 1), ("batch_size", 1), ("buffer_capacity", 1),
                               ("exploration_steps", 0), ("total_steps", 0)):
             value = getattr(self, name)

@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from rlalloc.exceptions import is_count, is_real
+
 # The fields each service kind reads; the others keep their defaults.
 _KIND_FIELDS = {
     "video": ("file_size", "cycle_length", "chunk_count"),
@@ -50,24 +52,23 @@ class ServiceProfile:
         if self.kind not in SERVICE_KINDS:
             raise ValueError(f"kind must be one of {SERVICE_KINDS}, got {self.kind!r}")
         if self.kind == "video":
-            if not 0 < self.file_size < math.inf:
-                raise ValueError("video file_size must be positive")
-            for name in ("cycle_length", "chunk_count"):
+            if not (is_real(self.file_size) and 0 < self.file_size < math.inf):
+                raise ValueError(f"video file_size must be positive, got {self.file_size!r}")
+            for name, minimum in (("cycle_length", 2), ("chunk_count", 1)):
                 value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"video {name} must be an integer, got {value!r}")
-            if self.cycle_length < 2:
-                raise ValueError("video cycle_length must be at least 2")
-            if not 1 <= self.chunk_count <= self.cycle_length:
+                if not is_count(value, minimum):
+                    raise ValueError(f"video {name} must be an integer >= {minimum}, got {value!r}")
+            if self.chunk_count > self.cycle_length:
                 raise ValueError("chunk_count must lie in [1, cycle_length]")
         elif self.kind == "voice":
-            if not 0 < self.packet_size < math.inf:
-                raise ValueError("voice packet_size must be positive")
+            if not (is_real(self.packet_size) and 0 < self.packet_size < math.inf):
+                raise ValueError(f"voice packet_size must be positive, got {self.packet_size!r}")
         else:
-            if not 0 <= self.mean_arrivals < math.inf:
-                raise ValueError("chat mean_arrivals must be non-negative")
-            if not 0 < self.size_min <= self.size_max < math.inf:
-                raise ValueError("chat sizes need 0 < size_min <= size_max")
+            mean, sizes = self.mean_arrivals, (self.size_min, self.size_max)
+            if not (is_real(mean) and 0 <= mean < math.inf):
+                raise ValueError(f"chat mean_arrivals must be non-negative, got {mean!r}")
+            if not (all(map(is_real, sizes)) and 0 < self.size_min <= self.size_max < math.inf):
+                raise ValueError(f"chat sizes need 0 < size_min <= size_max, got {sizes}")
 
     @classmethod
     def video(cls, file_size: float, cycle_length: int = 10, chunk_count: int = 4) -> "ServiceProfile":

@@ -13,7 +13,7 @@ import rlalloc.cli as cli
 from rlalloc.exceptions import TrainingDiverged
 from rlalloc.harness import load_metrics
 from rlalloc.mec import small_contention_config
-from rlalloc.slicing import default_analytic_config
+from rlalloc.slicing import default_analytic_config, default_emulated_config
 from rlalloc.td3 import Td3Agent
 
 
@@ -101,6 +101,9 @@ def test_run_misspelled_key_exits_2(tmp_path, capsys):
 
 
 ANALYTIC_ENV = default_analytic_config().to_dict()
+EMULATED_ENV = default_emulated_config().to_dict()
+VIDEO, VOICE, CHAT = EMULATED_ENV["services"]
+MEC_ENV = small_contention_config().to_dict()
 
 
 @pytest.mark.parametrize(
@@ -158,13 +161,44 @@ ANALYTIC_ENV = default_analytic_config().to_dict()
             for key, value in (("demand_changes", {"abc": [0.3, 0.3, 0.3]}), ("k_min", "abc"),
                                ("demands", {"a": 1}))
         ),
+        ({"scenario": "mec", "policy": "dqn", "env": "mec-small",
+          "agent": {"learning_rate": "abc"}},
+         "learning_rate must be positive and finite, got 'abc'"),
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"soft_tau": "abc"}}, "soft_tau must lie in (0, 1], got 'abc'"),
+        *(
+            ({"scenario": "mec", "policy": "rra",
+              "env": {**MEC_ENV, "topology": {**MEC_ENV["topology"], key: "abc"}}},
+             f"{key} must be positive and finite, got 'abc'")
+            for key in ("tau", "core_rate", "cycles_per_bit")
+        ),
+        *(
+            ({"scenario": "slicing", "policy": "sra", "env": dict(ANALYTIC_ENV, **{key: value})},
+             f"{key} must be positive, got {value!r}")
+            for key, value in (("total_bandwidth", "abc"), ("total_bandwidth", True))
+        ),
+        *(
+            ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, services=services)},
+             named)
+            for services, named in (
+                ([{**VIDEO, "file_size": "abc"}, VOICE, CHAT],
+                 "file_size must be positive, got 'abc'"),
+                ([VIDEO, {**VOICE, "packet_size": "abc"}, CHAT],
+                 "packet_size must be positive, got 'abc'"),
+                ([VIDEO, VOICE, {**CHAT, "size_max": "abc"}], "size_max, got (0.05, 'abc')"),
+            )
+        ),
+        ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, step_duration="abc")},
+         "step_duration must be positive, got 'abc'"),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
          "demand-changes-list", "dqn-lr-nan", "dqn-lr-inf", "dqn-batch-fraction",
          "dqn-sync-fraction", "td3-critic-lr-inf", "td3-sigma-nan", "td3-clip-nan",
          "td3-buffer-fraction", "td3-delay-fraction", "demand-changes-step-abc", "k-min-abc",
-         "demands-object"],
+         "demands-object", "dqn-lr-abc", "td3-soft-tau-abc", "tau-abc", "core-rate-abc",
+         "cycles-per-bit-abc", "total-bandwidth-abc", "total-bandwidth-true", "video-size-abc",
+         "voice-size-abc", "chat-size-abc", "step-duration-abc"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rlalloc.slicing as slicing_mod
 from rlalloc.exceptions import ConfigError
 from rlalloc.harness import (
     ENV_PRESETS,
@@ -280,6 +281,27 @@ def test_optimal_run_matches_reference_utility(tmp_path):
     path = run_experiment(slicing_config("optimal"), tmp_path / "opt.jsonl")
     for r in load_metrics(path):
         assert r["U"] == pytest.approx(U_OPT_PRE, abs=1e-9)
+
+
+def test_optimal_run_water_fills_once_per_demand_regime(tmp_path, monkeypatch):
+    demands_a, demands_b = [1.0, 1.0, 0.1], [0.5, 1.5, 0.1]
+    env = replace(default_analytic_config(), demands=np.array(demands_a),
+                  demand_changes={10: np.array(demands_b), 20: np.array(demands_a)})
+    water_fill = slicing_mod.water_fill_optimal
+    calls = []
+
+    def counting(demands, config):
+        calls.append(np.asarray(demands).tolist())
+        return water_fill(demands, config)
+
+    monkeypatch.setattr(slicing_mod, "water_fill_optimal", counting)
+    config = replace(slicing_config("optimal", total_steps=30), env=env)
+    path = run_experiment(config, tmp_path / "opt.jsonl")
+    assert calls == [demands_a, demands_b, demands_a]
+    records = load_metrics(path)
+    assert len(records) == 30
+    for t, r in enumerate(records, start=1):
+        assert r["k"] == water_fill(env.demands_at(t), env).tolist()
 
 
 def test_default_output_path_naming(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Unit tests for the edge-offloading model: latencies, contention, baselines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from rlalloc.mec import (
     action_catalog,
     brute_force_optimal,
     default_mec_config,
-    enumerate_valid_actions,
     evaluate_action,
     latency_core,
     latency_local,
@@ -224,18 +225,67 @@ def test_invalid_targets_raise():
 # Action catalogs and baselines
 
 
-def test_enumerate_valid_actions_is_lexicographic():
-    config = small_contention_config()
-    sizes = config.arrivals.draw(np.random.default_rng(0))
-    actions = enumerate_valid_actions(config.topology, sizes)
-    assert len(actions) == 16
-    assert actions == sorted(actions)
-    assert all(len(a) == 4 for a in actions)
-    # Overflowing servers choose CORE or a neighbor; the rest are NOOP.
-    for a in actions:
-        assert a[0] in (CORE, 1, 2, 3)
-        assert a[1] in (CORE, 0, 2, 3)
-        assert a[2] == NOOP and a[3] == NOOP
+def exhaustive_optimum(topology, sizes):
+    """First strict minimum of L_max over every joint choice, each resolved by evaluate_action."""
+    overflowing = sizes > topology.slot_capacity()
+    options = [r if over else (NOOP,) for r, over in zip(topology.routing_choices, overflowing)]
+    best = None
+    for action in itertools.product(*options):
+        outcome = evaluate_action(topology, sizes, action)
+        if best is None or outcome.l_max < best[1].l_max:
+            best = action, outcome
+    return best
+
+
+def random_fast_link_slots(count, rng):
+    """Symmetric topologies with links faster than the core and arrivals on a coarse grid,
+    so that neighbors win and equal overflows contend for one target."""
+    for _ in range(count):
+        n = int(rng.integers(3, 6))
+        adjacent = np.triu(rng.random((n, n)) < 0.6, 1)
+        adjacent |= adjacent.T
+        topology = EdgeTopology.from_dict({
+            "capacities": rng.choice([1000.0, 2000.0], n).tolist(),
+            "neighbors": [np.flatnonzero(row).tolist() for row in adjacent],
+            "link_rates": np.where(adjacent, rng.choice([300.0, 500.0], (n, n)), 0.0),
+            "core_rate": float(rng.choice([50.0, 100.0])),
+            "tau": 0.1,
+            "cycles_per_bit": 10.0,
+        })
+        yield topology, rng.choice([0.0, 6.0, 12.0, 18.0, 24.0], n)
+
+
+def slots(name):
+    rng = np.random.default_rng(11)
+    if name == "mec-small":
+        config = small_contention_config()
+        return [(config.topology, config.arrivals.draw(rng))]
+    if name == "mec-seven":
+        config = default_mec_config()
+        return [(config.topology, config.arrivals.draw(rng)) for _ in range(200)]
+    return list(random_fast_link_slots(300, rng))
+
+
+@pytest.mark.parametrize("name", ["mec-small", "mec-seven", "fast-links"])
+def test_brute_force_matches_exhaustive_search(name):
+    neighbor_wins = ties = 0
+    for topology, sizes in slots(name):
+        action, outcome = brute_force_optimal(topology, sizes)
+        expected_action, expected = exhaustive_optimum(topology, sizes)
+        assert action == expected_action
+        assert outcome.l_max.hex() == expected.l_max.hex()
+        assert np.array_equal(outcome.latencies, expected.latencies)
+        assert outcome.effective == expected.effective
+        neighbor_wins += any(c >= 0 for c in outcome.effective)
+        over = outcome.overflow
+        ties += any(  # two equal overflows that can ask one free neighbor
+            0 < over[a] == over[b] and any(over[j] == 0 for j in set(ns_a) & set(ns_b))
+            for (a, ns_a), (b, ns_b) in itertools.combinations(enumerate(topology.neighbors), 2)
+        )
+    if name == "mec-small":
+        assert action == (3, 2, NOOP, NOOP)
+    if name == "fast-links":  # the search must be exercised where the core is not the answer
+        assert neighbor_wins > 100 and ties > 20
 
 
 def test_action_catalog_matches_support():
