@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlalloc.exceptions import is_real
+from rlalloc.exceptions import _vector, is_real
 
 Array = np.ndarray
 
@@ -85,10 +85,12 @@ class EdgeTopology:
     routing_choices: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.capacities = np.asarray(self.capacities, dtype=float)
-        # operator.index takes integers only: a neighbor id of 1.9 is an error, not 1.
-        self.neighbors = tuple(tuple(sorted(map(operator.index, ns))) for ns in self.neighbors)
-        self.link_rates = np.asarray(self.link_rates, dtype=float)
+        self.capacities = _vector("capacities", self.capacities)
+        try:  # operator.index takes integers only: a neighbor id of 1.9 is an error, not 1.
+            self.neighbors = tuple(tuple(sorted(map(operator.index, ns))) for ns in self.neighbors)
+        except TypeError:
+            raise ValueError(f"neighbors must be lists of server ids, got {self.neighbors!r}")
+        self.link_rates = _vector("link_rates", self.link_rates, ndim=2)
         self.routing_choices = tuple((CORE, *ns) for ns in self.neighbors)
 
     @property
@@ -138,14 +140,21 @@ class EdgeTopology:
     @classmethod
     def from_dict(cls, payload: dict) -> "EdgeTopology":
         fields = dict(payload)
-        if "link_rate" in fields:  # shorthand: the same rate on every link
-            if "link_rates" in fields:
-                raise ValueError("give link_rate or link_rates, not both")
-            rate, n = fields.pop("link_rate"), len(fields["capacities"])
-            fields["link_rates"] = np.zeros((n, n))
-            for a, ns in enumerate(fields["neighbors"]):
-                fields["link_rates"][a, list(ns)] = rate
-        return cls(**fields)
+        if "link_rate" not in fields:
+            return cls(**fields)
+        # Shorthand: the same rate on every link. The constructor converts
+        # capacities and neighbors before the matrix is built from them.
+        if "link_rates" in fields:
+            raise ValueError("give link_rate or link_rates, not both")
+        rate = fields.pop("link_rate")
+        if not is_real(rate):
+            raise ValueError(f"link_rate must be a number, got {rate!r}")
+        topology = cls(link_rates=[[]], **fields)
+        n = topology.num_servers
+        topology.link_rates = np.zeros((n, n))
+        for a, ns in enumerate(topology.neighbors[:n]):  # validate() names ids out of range
+            topology.link_rates[a, [b for b in ns if b < n]] = rate
+        return topology
 
 
 @dataclass
@@ -163,14 +172,13 @@ class ArrivalModel:
         if self.kind == "fixed":
             if self.sizes is None or self.low is not None or self.high is not None:
                 raise ValueError("fixed arrivals take a sizes vector only")
-            self.sizes = np.asarray(self.sizes, dtype=float)
+            self.sizes = _vector("sizes", self.sizes)
             if not np.all((self.sizes >= 0) & (self.sizes < np.inf)):
                 raise ValueError("arrival sizes must be non-negative and finite")
         else:
             if self.low is None or self.high is None or self.sizes is not None:
                 raise ValueError("uniform arrivals take low and high vectors only")
-            self.low = np.asarray(self.low, dtype=float)
-            self.high = np.asarray(self.high, dtype=float)
+            self.low, self.high = _vector("low", self.low), _vector("high", self.high)
             if self.low.shape != self.high.shape:
                 raise ValueError("low and high must have matching shapes")
             if not np.all((0 <= self.low) & (self.low <= self.high) & (self.high < np.inf)):

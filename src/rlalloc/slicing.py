@@ -26,24 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlalloc.exceptions import ConfigError, is_real
-from rlalloc.traffic import ServiceProfile, SliceTraffic, StepStats
+from rlalloc.exceptions import ConfigError, _vector, is_real
+from rlalloc.traffic import ServiceProfile, SliceTraffic
 
 Array = np.ndarray
 
 SCORE_EXPONENT = 1.1
 MODES = ("analytic", "emulated")
-
-
-def _vector(name: str, value: object) -> Array:
-    """``value`` as a 1-D float array; anything else is an error that names ``name``."""
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.ndim != 1:
-        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return vec
 
 
 def _positive(values: Array) -> bool:
@@ -257,28 +246,11 @@ def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Ar
     return (np.minimum(k, d) / d) ** SCORE_EXPONENT / c0
 
 
-@dataclass
-class ScoreInputs:
-    """Per-slice traffic measurements feeding the emulated score."""
-
-    completed: Array  # requests finished this step
-    latency: Array  # mean completion latency (time units)
-    video_flag: Array  # 0/1 whole-file completion flags
-
-    @classmethod
-    def from_stats(cls, stats: list[StepStats]) -> "ScoreInputs":
-        return cls(
-            completed=np.array([s.completed for s in stats], dtype=float),
-            latency=np.array([s.mean_latency for s in stats], dtype=float),
-            video_flag=np.array([s.video_flag for s in stats], dtype=float),
-        )
-
-
-def score_emulated(inputs: ScoreInputs, config: SliceConfig) -> Array:
-    """Traffic-driven scores ``(r + l0/l)**1.1 / c0 + f``."""
-    r = np.asarray(inputs.completed, dtype=float)
-    l = np.asarray(inputs.latency, dtype=float)
-    f = np.asarray(inputs.video_flag, dtype=float)
+def score_emulated(completed: Array, latency: Array, video_flag: Array, config: SliceConfig) -> Array:
+    """Traffic-driven scores ``(r + l0/l)**1.1 / c0 + f`` from per-slice measurements."""
+    r = np.asarray(completed, dtype=float)
+    l = np.asarray(latency, dtype=float)
+    f = np.asarray(video_flag, dtype=float)
     if config.latency_weights is None:
         raise ValueError("config has no latency_weights: not an emulated-mode config")
     if np.any(r < 0):
@@ -418,16 +390,17 @@ class SlicingEnv:
             info = {"k": k, "scores": scores, "utility": reward, "demands": demands_now}
         else:
             stats = [tr.advance(k_i, self._rng) for tr, k_i in zip(self._traffic, k)]
-            inputs = ScoreInputs.from_stats(stats)
-            scores = score_emulated(inputs, cfg)
+            latency = np.array([s.mean_latency for s in stats])
+            scores = score_emulated(
+                [s.completed for s in stats], latency, [s.video_flag for s in stats], cfg
+            )
             reward = utility(scores)
             self._prev_allocation = k
             self._step_count = t
-            latencies = inputs.latency / cfg.latency_weights
-            demand_obs = np.array(
-                [s.arrived for s in stats]
-            ) / (cfg.total_bandwidth * cfg.step_duration)
-            obs = self._observation(latencies, demand_obs)
+            demand_obs = np.array([s.arrived for s in stats]) / (
+                cfg.total_bandwidth * cfg.step_duration
+            )
+            obs = self._observation(latency / cfg.latency_weights, demand_obs)
             info = {"k": k, "scores": scores, "utility": reward, "stats": stats}
         self._last_obs = obs
         return obs, reward, info

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,57 +93,38 @@ class ServiceProfile:
         return cls(**payload)
 
 
-class Arrival(NamedTuple):
-    size: float
-    tag: tuple | None  # video: (file_id, chunk_index)
-
-
-class Completion(NamedTuple):
-    arrival_step: int
-    tag: tuple | None
-
-
-class _Pending:
-    __slots__ = ("arrival_step", "remaining", "tag")
-
-    def __init__(self, arrival_step: int, remaining: float, tag: tuple | None):
-        self.arrival_step = arrival_step
-        self.remaining = remaining
-        self.tag = tag
-
-
 class FluidQueue:
-    """FIFO queue of divisible requests drained at a per-step budget."""
+    """FIFO queue of divisible ``[arrival_step, remaining]`` requests drained per step."""
 
     def __init__(self) -> None:
-        self._pending: deque[_Pending] = deque()
+        self._pending: deque[list] = deque()
         self.backlog = 0.0
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    def add(self, step: int, size: float, tag: tuple | None = None) -> None:
+    def add(self, step: int, size: float) -> None:
         if size <= 0:
             raise ValueError(f"request size must be positive, got {size}")
-        self._pending.append(_Pending(step, float(size), tag))
+        self._pending.append([step, float(size)])
         self.backlog += float(size)
 
-    def serve(self, budget: float) -> tuple[list[Completion], float]:
-        """Drain up to ``budget`` of work; returns completions and the drained amount."""
+    def serve(self, budget: float) -> tuple[list[int], float]:
+        """Drain up to ``budget``; returns the finished requests' arrival steps and the amount."""
         if budget < 0:
             raise ValueError(f"service budget must be non-negative, got {budget}")
         served = 0.0
-        done: list[Completion] = []
+        done: list[int] = []
         remaining_budget = float(budget)
         while self._pending and remaining_budget > 0.0:
             head = self._pending[0]
-            if head.remaining <= remaining_budget:
-                remaining_budget -= head.remaining
-                served += head.remaining
-                done.append(Completion(head.arrival_step, head.tag))
+            if head[1] <= remaining_budget:
+                remaining_budget -= head[1]
+                served += head[1]
+                done.append(head[0])
                 self._pending.popleft()
             else:
-                head.remaining -= remaining_budget
+                head[1] -= remaining_budget
                 served += remaining_budget
                 remaining_budget = 0.0
         self.backlog -= served
@@ -175,52 +155,46 @@ class SliceTraffic:
         self.step_duration = float(step_duration)
         self.queue = FluidQueue()
         self._step = 0
-        self._file_id = -1
+        self._last_chunk_step = -1  # arrival step of the current file's last chunk
         self._video_flag = 0
 
-    def _arrivals(self, rng: np.random.Generator) -> list[Arrival]:
+    def _arrivals(self, rng: np.random.Generator) -> list[float]:
         p = self.profile
         if p.kind == "video":
             pos = self._step % p.cycle_length
             if pos == 0:
-                self._file_id += 1
+                self._last_chunk_step = self._step + p.chunk_count - 1
                 self._video_flag = 0
-            if pos < p.chunk_count:
-                chunk = p.file_size / p.chunk_count
-                return [Arrival(chunk, (self._file_id, pos))]
-            return []
+            return [p.file_size / p.chunk_count] if pos < p.chunk_count else []
         if p.kind == "voice":
-            return [Arrival(p.packet_size, None)]
+            return [p.packet_size]
         count = int(rng.poisson(p.mean_arrivals))
         if count == 0:
             return []
-        sizes = rng.uniform(p.size_min, p.size_max, size=count)
-        return [Arrival(float(s), None) for s in sizes]
+        return rng.uniform(p.size_min, p.size_max, size=count).tolist()
 
     def advance(self, bandwidth: float, rng: np.random.Generator) -> StepStats:
         """Generate this step's arrivals, then drain at ``bandwidth``."""
         if bandwidth < 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth}")
         step = self._step
-        arrivals = self._arrivals(rng)
         arrived = 0.0
-        for a in arrivals:
-            self.queue.add(step, a.size, a.tag)
-            arrived += a.size
-        completions, served = self.queue.serve(bandwidth * self.step_duration)
-        if self.profile.kind == "video":
-            last_chunk = self.profile.chunk_count - 1
-            for c in completions:
-                if c.tag is not None and c.tag == (self._file_id, last_chunk):
-                    self._video_flag = 1
-        if completions:
-            latencies = [(step - c.arrival_step + 1) * self.step_duration for c in completions]
+        for size in self._arrivals(rng):
+            self.queue.add(step, size)
+            arrived += size
+        done, served = self.queue.serve(bandwidth * self.step_duration)
+        # A slice queues only its own service, so the current file's last
+        # chunk is the one request that arrived on its step.
+        if self._last_chunk_step in done:
+            self._video_flag = 1
+        if done:
+            latencies = [(step - arrival + 1) * self.step_duration for arrival in done]
             mean_latency = float(np.mean(latencies))
         else:
             mean_latency = self.step_duration
         self._step += 1
         return StepStats(
-            completed=len(completions),
+            completed=len(done),
             mean_latency=mean_latency,
             video_flag=self._video_flag,
             arrived=arrived,

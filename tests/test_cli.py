@@ -104,6 +104,9 @@ ANALYTIC_ENV = default_analytic_config().to_dict()
 EMULATED_ENV = default_emulated_config().to_dict()
 VIDEO, VOICE, CHAT = EMULATED_ENV["services"]
 MEC_ENV = small_contention_config().to_dict()
+SHORTHAND = {k: v for k, v in MEC_ENV["topology"].items() if k != "link_rates"}
+SHORTHAND["link_rate"] = 500.0  # mec-small links every pair at 500
+UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
 
 
 @pytest.mark.parametrize(
@@ -190,6 +193,27 @@ MEC_ENV = small_contention_config().to_dict()
         ),
         ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, step_duration="abc")},
          "step_duration must be positive, got 'abc'"),
+        *(
+            ({"scenario": "mec", "policy": "rra", "env": {**MEC_ENV, part: {**base, key: value}}},
+             named)
+            for part, base, key, value, named in (
+                ("topology", MEC_ENV["topology"], "capacities", "abc",
+                 "capacities must be a list of numbers, got 'abc'"),
+                ("topology", MEC_ENV["topology"], "link_rates", "abc",
+                 "link_rates must be a matrix of numbers, got 'abc'"),
+                ("topology", SHORTHAND, "capacities", "abc",
+                 "capacities must be a list of numbers, got 'abc'"),
+                ("topology", SHORTHAND, "capacities", [[1000, 1000]],
+                 "capacities must be a list of numbers, got [[1000, 1000]]"),
+                ("topology", SHORTHAND, "neighbors", "ab",
+                 "neighbors must be lists of server ids, got 'ab'"),
+                ("topology", SHORTHAND, "link_rate", "abc", "link_rate must be a number, got 'abc'"),
+                ("arrivals", MEC_ENV["arrivals"], "sizes", ["a", 1, 1, 1],
+                 "sizes must be a list of numbers, got ['a', 1, 1, 1]"),
+                ("arrivals", UNIFORM, "low", "abc", "low must be a list of numbers, got 'abc'"),
+                ("arrivals", UNIFORM, "high", [[2.0] * 4], "high must be a list of numbers"),
+            )
+        ),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -198,7 +222,9 @@ MEC_ENV = small_contention_config().to_dict()
          "td3-buffer-fraction", "td3-delay-fraction", "demand-changes-step-abc", "k-min-abc",
          "demands-object", "dqn-lr-abc", "td3-soft-tau-abc", "tau-abc", "core-rate-abc",
          "cycles-per-bit-abc", "total-bandwidth-abc", "total-bandwidth-true", "video-size-abc",
-         "voice-size-abc", "chat-size-abc", "step-duration-abc"],
+         "voice-size-abc", "chat-size-abc", "step-duration-abc", "capacities-abc",
+         "link-rates-abc", "shorthand-capacities-abc", "shorthand-capacities-matrix",
+         "shorthand-neighbors-abc", "link-rate-abc", "sizes-abc", "low-abc", "high-matrix"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)

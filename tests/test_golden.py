@@ -45,9 +45,11 @@ def test_demo_reproduces_committed_outputs(demo, tmp_path, monkeypatch):
 
 
 # Tiny runs through the branches the demos leave out: TD3 eval slots, emulated
-# TD3 and SRA, RRA and the optimum on both MEC presets, DQN eval slots on
-# mec-seven, and the oracle report. Each digest is the sha256 of the metrics
-# file, or of the sorted-key JSON of the oracle report, as first recorded.
+# TD3 and SRA (once with every slice behind, so earlier files' last video
+# chunks finish in later cycles), RRA and the optimum on both MEC presets, DQN
+# eval slots on mec-seven, and the oracle report: 15 digests. Each is the
+# sha256 of the metrics file, or of the sorted-key JSON of the oracle report,
+# as first recorded.
 TINY_TD3 = {
     "actor_hidden": [16],
     "critic_hidden": [16],
@@ -69,6 +71,20 @@ SHIFTED = {  # the slicing-analytic preset with its demand shift after step 30
     "ideal_scores": [0.5, 0.5, 1.0],
     "demands": [1.0, 1.0, 0.1],
     "demand_changes": {"30": [0.5, 1.5, 0.1]},
+}
+BACKLOGGED = {  # slicing-emulated with every slice behind: late last chunks
+    "total_bandwidth": 1.5,
+    "k_min": [0.075, 0.075, 0.075],
+    "k_max": [1.5, 1.5, 1.5],
+    "ideal_scores": [2.0, 2.0, 2.0],
+    "mode": "emulated",
+    "step_duration": 0.3,
+    "services": [
+        {"kind": "video", "file_size": 2.0, "cycle_length": 10, "chunk_count": 4},
+        {"kind": "voice", "packet_size": 0.3},
+        {"kind": "chat", "mean_arrivals": 4.0, "size_min": 0.05, "size_max": 0.15},
+    ],
+    "latency_weights": [2.0, 1.0, 1.0],
 }
 
 
@@ -99,6 +115,10 @@ RUNS = {
     "slicing-sra-emulated": (
         _payload("slicing", "sra", "slicing-emulated", 60),
         "0ab4670a1376f2550c03af484740ef2f5359f73f8bc7888d4c5b5d90e6ee8157",
+    ),
+    "slicing-sra-emulated-backlog": (
+        _payload("slicing", "sra", BACKLOGGED, 200),
+        "ae08926326a31b1722afbccf4ab27212cf728aa0954acf22a2a80465251cac60",
     ),
     "slicing-optimal-analytic": (
         _payload("slicing", "optimal", SHIFTED, 40),

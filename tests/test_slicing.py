@@ -5,7 +5,6 @@ import pytest
 
 from rlalloc.slicing import (
     SCORE_EXPONENT,
-    ScoreInputs,
     SliceConfig,
     SlicingEnv,
     default_analytic_config,
@@ -154,15 +153,13 @@ def test_score_analytic_formula():
 
 def test_score_emulated_formula():
     config = default_emulated_config()
-    inputs = ScoreInputs(
-        completed=np.array([2.0, 4.0, 1.0]),
-        latency=np.array([1.0, 0.5, 2.0]),
-        video_flag=np.array([1.0, 0.0, 0.0]),
-    )
+    completed = np.array([2.0, 4.0, 1.0])
+    latency = np.array([1.0, 0.5, 2.0])
+    video_flag = np.array([1.0, 0.0, 0.0])
     l0 = config.latency_weights
-    expected = (inputs.completed + l0 / inputs.latency) ** SCORE_EXPONENT
-    expected = expected / config.ideal_scores + np.array([1.0, 0.0, 0.0])
-    s = score_emulated(inputs, config)
+    expected = (completed + l0 / latency) ** SCORE_EXPONENT
+    expected = expected / config.ideal_scores + video_flag
+    s = score_emulated(completed, latency, video_flag, config)
     np.testing.assert_allclose(s, expected, atol=1e-12)
 
 

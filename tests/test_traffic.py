@@ -41,15 +41,15 @@ def test_profile_validation():
 
 def test_fifo_order_with_partial_head():
     q = FluidQueue()
-    q.add(step=0, size=3.0, tag=("a",))
-    q.add(step=0, size=2.0, tag=("b",))
+    q.add(step=0, size=3.0)
+    q.add(step=1, size=2.0)
     done, served = q.serve(4.0)
     assert served == 4.0
-    assert [c.tag for c in done] == [("a",)]
+    assert done == [0]
     assert q.backlog == pytest.approx(1.0)
     done, served = q.serve(10.0)
     assert served == pytest.approx(1.0)
-    assert [c.tag for c in done] == [("b",)]
+    assert done == [1]
     assert q.backlog == 0.0
     assert len(q) == 0
 
@@ -110,6 +110,17 @@ def test_video_flag_stays_zero_when_starved():
     for _ in range(10):
         stats = tr.advance(bandwidth=0.05, rng=rng)
         assert stats.video_flag == 0
+
+
+def test_video_flag_ignores_an_earlier_files_last_chunk():
+    # 4 chunks of 0.5 per 10-step cycle at 0.15 per step: file 0 drains over
+    # 14 steps, so its last chunk finishes on step 13, during file 1's cycle.
+    tr = SliceTraffic(ServiceProfile.video(2.0, cycle_length=10, chunk_count=4))
+    rng = np.random.default_rng(0)
+    stats = [tr.advance(bandwidth=0.15, rng=rng) for _ in range(20)]
+    finished = [t for t, s in enumerate(stats) if s.completed]
+    assert finished[3] == 13
+    assert [s.video_flag for s in stats] == [0] * 20
 
 
 def test_latency_counts_queueing_steps():
