@@ -8,10 +8,15 @@ Each network keeps its parameters in one contiguous float64 vector,
 ``Mlp.flat``, layer by layer (row-major weight matrix, then bias);
 ``weights[l]`` and ``biases[l]`` are views into it. Gradients and Adam
 moments share that layout, so an update or a copy is a few whole-vector
-operations. ``adam_step`` and ``soft_update`` work in two scratch vectors
-shared by all networks (sized to the largest seen, reused across calls; not
-thread-safe), and apply their elementwise operations in a fixed order, so
-results are bit-for-bit reproducible.
+operations, applied in a fixed order, so results are bit-for-bit reproducible.
+
+Training allocates no large array once warm (and nothing here is thread-safe).
+Each ``Mlp`` owns one activation buffer per layer, grown to the largest batch
+seen; a ``ForwardCache`` views them, so it is valid until that network's next
+``mlp_forward`` (``mlp_gradients`` raises ``ValueError`` on a stale one), and
+callers get a copy of the output. Parameter gradients, backprop's deltas and
+the work of ``adam_step``/``soft_update`` use three vectors shared by all
+networks, so a ``Gradients`` is valid until the next ``mlp_gradients`` call.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class Mlp:
         self.flat = flat
         self.output_activation = output_activation
         self.weights, self.biases = _layer_views(flat, self.layer_sizes)
+        self._acts: list[Array] = []  # activation buffers; see the module docstring
+        self._cache: ForwardCache | None = None  # the one mlp_gradients accepts
 
     @property
     def n_layers(self) -> int:
@@ -85,11 +92,11 @@ class ForwardCache:
     """Per-layer activations retained by :func:`mlp_forward` for backprop.
 
     ``activations[0]`` is the network input; ``activations[l]`` for l >= 1 is
-    the post-nonlinearity output of layer l. All entries are 2-D (batch-major)
+    the post-nonlinearity output of layer l, a view into the network's own
+    buffer, valid until its next forward. All entries are 2-D (batch-major)
     regardless of how the input was passed.
     """
 
-    layer_sizes: tuple[int, ...]
     activations: list[Array]
     squeeze: bool
 
@@ -99,9 +106,9 @@ class Gradients:
     """Loss gradients w.r.t. parameters and the network input.
 
     Parameter gradients are summed over the batch and laid out like
-    ``Mlp.flat``; ``weights[l]`` and ``biases[l]`` are views into ``flat``.
-    ``wrt_input`` keeps one row per batch element (needed to push a critic's
-    action-gradient into an actor).
+    ``Mlp.flat``; ``weights[l]`` and ``biases[l]`` are views into ``flat``, a
+    vector shared by all networks. ``wrt_input`` keeps one row per batch element
+    (needed to push a critic's action-gradient into an actor).
     """
 
     flat: Array
@@ -155,53 +162,60 @@ def _as_batch(x: Array, dim: int, what: str) -> tuple[Array, bool]:
 def mlp_forward(mlp: Mlp, x: Array) -> tuple[Array, ForwardCache]:
     """Evaluate the network on ``x`` (a vector or a batch of rows).
 
-    Returns the output (matching the input's dimensionality) and a cache of
-    per-layer activations for :func:`mlp_gradients`.
+    Returns a copy of the output (matching the input's dimensionality) and a
+    cache of per-layer activations for :func:`mlp_gradients`.
     """
     a, squeeze = _as_batch(x, mlp.in_dim, "input")
-    activations = [a]
-    last = mlp.n_layers - 1
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = activations[-1] @ w.T + b
+    activations, n, last = [a], a.shape[0], mlp.n_layers - 1
+    if not mlp._acts or mlp._acts[0].shape[0] < n:
+        mlp._acts = [np.empty((n, size)) for size in mlp.layer_sizes[1:]]
+    for l, (w, b, buf) in enumerate(zip(mlp.weights, mlp.biases, mlp._acts)):
+        z = np.matmul(activations[-1], w.T, out=buf[:n])
+        z += b
         if l < last:
-            a_next = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         elif mlp.output_activation == "tanh":
-            a_next = np.tanh(z)
-        else:
-            a_next = z
-        activations.append(a_next)
+            np.tanh(z, out=z)
+        activations.append(z)
     y = activations[-1][0] if squeeze else activations[-1]
-    return y, ForwardCache(mlp.layer_sizes, activations, squeeze)
+    mlp._cache = ForwardCache(activations, squeeze)
+    return y.copy(), mlp._cache
+
+
+def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grads) -> Array:
+    """Push ``grad_output`` to the input; fills ``w_grads``/``b_grads`` unless None."""
+    if cache is not mlp._cache:
+        raise ValueError("cache is stale or from another network; run mlp_forward again")
+    acts = cache.activations
+    gy, squeeze = _as_batch(grad_output, mlp.out_dim, "grad_output")
+    n = acts[0].shape[0]
+    if gy.shape[0] != n:
+        raise ValueError(f"grad_output batch {gy.shape[0]} != cached batch {n}")
+    g = gy
+    if mlp.output_activation == "tanh":
+        g = np.multiply(acts[-1], acts[-1], out=_work(mlp.n_layers, n, mlp.out_dim))
+        np.subtract(1.0, g, out=g)
+        g *= gy
+    for l in range(mlp.n_layers - 1, -1, -1):
+        if w_grads is not None:
+            np.matmul(g.T, acts[l], out=w_grads[l])
+            np.sum(g, axis=0, out=b_grads[l])
+        g = np.matmul(g, mlp.weights[l], out=_work(l, n, mlp.layer_sizes[l]))
+        if l > 0:
+            g *= acts[l] > 0.0
+    return (g[0] if squeeze else g).copy()
 
 
 def mlp_gradients(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Gradients:
-    """Backpropagate ``grad_output`` (dLoss/dOutput) through a cached forward pass."""
-    if cache.layer_sizes != mlp.layer_sizes:
-        raise ValueError(
-            f"cache built for layer sizes {cache.layer_sizes}, network has {mlp.layer_sizes}"
-        )
-    if len(cache.activations) != mlp.n_layers + 1:
-        raise ValueError("cache does not match this network's depth")
-    gy, squeeze = _as_batch(grad_output, mlp.out_dim, "grad_output")
-    n = cache.activations[0].shape[0]
-    if gy.shape[0] != n:
-        raise ValueError(f"grad_output batch {gy.shape[0]} != cached batch {n}")
-
-    out = cache.activations[-1]
-    if mlp.output_activation == "tanh":
-        g = gy * (1.0 - out * out)
-    else:
-        g = gy
-    flat = np.empty(mlp.flat.size)
+    """Backpropagate ``grad_output`` (dLoss/dOutput) through the network's latest forward pass."""
+    flat = _shared(0, mlp.flat.size)
     w_grads, b_grads = _layer_views(flat, mlp.layer_sizes)
-    for l in range(mlp.n_layers - 1, -1, -1):
-        np.matmul(g.T, cache.activations[l], out=w_grads[l])
-        np.sum(g, axis=0, out=b_grads[l])
-        g = g @ mlp.weights[l]
-        if l > 0:
-            g = g * (cache.activations[l] > 0.0)
-    wrt_input = g[0] if squeeze else g
-    return Gradients(flat, w_grads, b_grads, wrt_input)
+    return Gradients(flat, w_grads, b_grads, _backprop(mlp, cache, grad_output, w_grads, b_grads))
+
+
+def mlp_input_gradient(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Array:
+    """``mlp_gradients(...).wrt_input`` alone, skipping the parameter gradients' work."""
+    return _backprop(mlp, cache, grad_output, None, None)
 
 
 @dataclass
@@ -223,15 +237,19 @@ def adam_init(mlp: Mlp, learning_rate: float) -> AdamState:
     return AdamState(learning_rate, np.zeros_like(mlp.flat), np.zeros_like(mlp.flat))
 
 
-# The two work vectors of adam_step and soft_update. Shared by all networks rather
-# than kept per optimizer, so resident memory does not grow with the network count.
-_scratch = [np.empty(0), np.empty(0)]
+# Shared by all networks, so resident memory does not grow with the network count:
+# [0] holds mlp_gradients' result, [1] and [2] are scratch for everything else.
+_vectors = [np.empty(0)] * 3
 
 
-def _scratch_pair(n: int) -> tuple[Array, Array]:
-    if _scratch[0].size < n:
-        _scratch[:] = [np.empty(n), np.empty(n)]
-    return _scratch[0][:n], _scratch[1][:n]
+def _shared(i: int, n: int) -> Array:
+    if _vectors[i].size < n:
+        _vectors[i] = np.empty(n)
+    return _vectors[i][:n]
+
+
+def _work(l: int, n: int, width: int) -> Array:  # layer l's delta, apart from l+1's
+    return _shared(1 + l % 2, n * width).reshape(n, width)
 
 
 def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
@@ -244,7 +262,7 @@ def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    s1, s2 = _scratch_pair(p.size)
+    s1, s2 = _shared(1, p.size), _shared(2, p.size)
     m *= b1
     np.multiply(g, 1.0 - b1, out=s1)
     m += s1
@@ -272,7 +290,7 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
         raise ValueError(
             f"shape mismatch: target {target.layer_sizes} vs online {online.layer_sizes}"
         )
-    s, _ = _scratch_pair(online.flat.size)
+    s = _shared(1, online.flat.size)
     np.multiply(online.flat, tau, out=s)
     target.flat *= 1.0 - tau
     target.flat += s

@@ -24,6 +24,7 @@ from rlalloc.numerics import (
     mlp_forward,
     mlp_gradients,
     mlp_init,
+    mlp_input_gradient,
     soft_update,
 )
 from rlalloc.replay import Batch
@@ -184,8 +185,8 @@ class Td3Agent:
             actor_loss = float(-np.mean(q))
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged(f"actor loss is not finite: {actor_loss}")
-            critic_grads = mlp_gradients(self.critic1, q_cache, np.full((n, 1), -1.0 / n))
-            action_grad = critic_grads.wrt_input[:, self.state_dim :]
+            q_grad = mlp_input_gradient(self.critic1, q_cache, np.full((n, 1), -1.0 / n))
+            action_grad = q_grad[:, self.state_dim :]
             actor_grads = mlp_gradients(self.actor, actor_cache, action_grad)
             adam_step(self.actor, actor_grads, self.actor_opt)
             soft_update(self.actor_target, self.actor, hp.soft_tau)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from rlalloc.numerics import (
+    OUTPUT_ACTIVATIONS,
     Mlp,
     adam_init,
     adam_step,
     mlp_forward,
     mlp_gradients,
     mlp_init,
+    mlp_input_gradient,
     soft_update,
 )
 
@@ -320,3 +322,91 @@ def test_flat_layout_and_whole_vector_updates_match_per_layer_formulas():
         tp += tau * op
     soft_update(clone, mlp, tau)
     assert all(np.array_equal(p, q) for p, q in zip(ref, layers(clone)))
+
+
+def reference_passes(mlp, x, grad_output):
+    """Allocating forward and backward, one fresh array per step, written inline.
+
+    Returns the per-layer activations, the weight and bias gradients and the
+    input gradient.
+    """
+    acts = [x]
+    for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = acts[-1] @ w.T + b
+        if layer < mlp.n_layers - 1:
+            z = np.maximum(z, 0.0)
+        elif mlp.output_activation == "tanh":
+            z = np.tanh(z)
+        acts.append(z)
+    g = grad_output
+    if mlp.output_activation == "tanh":
+        g = grad_output * (1.0 - acts[-1] * acts[-1])
+    w_grads, b_grads = [None] * mlp.n_layers, [None] * mlp.n_layers
+    for layer in range(mlp.n_layers - 1, -1, -1):
+        w_grads[layer] = g.T @ acts[layer]
+        b_grads[layer] = g.sum(axis=0)
+        g = g @ mlp.weights[layer]
+        if layer > 0:
+            g = g * (acts[layer] > 0.0)
+    return acts, w_grads, b_grads, g
+
+
+def test_buffered_passes_equal_allocating_reference_bit_for_bit():
+    rng = np.random.default_rng(60)
+    for i in range(50):
+        mlp = random_mlp(rng, OUTPUT_ACTIVATIONS[i % 2], max_width=40)
+        # A large batch first, so later batches use the first rows of grown buffers.
+        for batch in (64, int(rng.integers(1, 6)), 1):
+            x = rng.normal(size=(batch, mlp.in_dim))
+            grad_output = rng.normal(size=(batch, mlp.out_dim))
+            acts, w_grads, b_grads, wrt_input = reference_passes(mlp, x, grad_output)
+            y, cache = mlp_forward(mlp, x)
+            assert np.array_equal(y, acts[-1])
+            assert all(np.array_equal(a, b) for a, b in zip(cache.activations, acts))
+            assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output), wrt_input)
+            grads = mlp_gradients(mlp, cache, grad_output)
+            assert all(np.array_equal(a, b) for a, b in zip(grads.weights, w_grads))
+            assert all(np.array_equal(a, b) for a, b in zip(grads.biases, b_grads))
+            assert np.array_equal(grads.wrt_input, wrt_input)
+        # A vector input takes the batch-1 path and returns vectors.
+        y, cache = mlp_forward(mlp, x[0])
+        assert np.array_equal(y, acts[-1][0])
+        assert np.array_equal(mlp_gradients(mlp, cache, grad_output[0]).wrt_input, wrt_input[0])
+
+
+def test_stale_cache_is_rejected():
+    rng = np.random.default_rng(61)
+    mlp = mlp_init([3, 5, 2], "tanh", rng=rng)
+    _, first = mlp_forward(mlp, rng.normal(size=(4, 3)))
+    _, second = mlp_forward(mlp, rng.normal(size=(4, 3)))
+    grad_output = np.ones((4, 2))
+    with pytest.raises(ValueError, match="stale"):
+        mlp_gradients(mlp, first, grad_output)
+    with pytest.raises(ValueError, match="stale"):
+        mlp_input_gradient(mlp, first, grad_output)
+    mlp_gradients(mlp, second, grad_output)
+
+
+def test_returned_output_survives_later_forwards():
+    rng = np.random.default_rng(62)
+    mlp = mlp_init([3, 5, 2], "linear", rng=rng)
+    y, _ = mlp_forward(mlp, rng.normal(size=(4, 3)))
+    v, _ = mlp_forward(mlp, rng.normal(size=3))
+    kept_y, kept_v = y.copy(), v.copy()
+    mlp_forward(mlp, rng.normal(size=(4, 3)))
+    mlp_forward(mlp, rng.normal(size=3))
+    assert np.array_equal(y, kept_y) and np.array_equal(v, kept_v)
+
+
+def test_copy_shares_no_buffer_with_its_source():
+    rng = np.random.default_rng(63)
+    mlp = mlp_init([3, 6, 6, 2], "tanh", rng=rng)
+    x, grad_output = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    _, cache = mlp_forward(mlp, x)
+    clone = mlp.copy()
+    _, clone_cache = mlp_forward(clone, x)
+    for ours, theirs in zip(cache.activations[1:], clone_cache.activations[1:]):
+        assert not np.shares_memory(ours, theirs)
+    assert not np.shares_memory(clone.flat, mlp.flat)
+    # The clone's forward left the source's cache current.
+    mlp_gradients(mlp, cache, grad_output)

@@ -1,5 +1,7 @@
 """Unit tests for the twin-critic actor-critic learner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,21 @@ def test_agent_init_is_deterministic():
         np.testing.assert_array_equal(wa, wb)
     for wa, wb in zip(a.critic2.weights, b.critic2.weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+def test_warm_train_steps_allocate_no_large_arrays():
+    # Default networks (actor 9-256-256-256-3, twin critics 12-256-256-1, batch 64):
+    # once the buffers have grown, a train step allocates only small temporaries.
+    agent = Td3Agent(9, 3, rng=0)
+    batch = make_batch(np.random.default_rng(17), agent.hp.batch_size, 9, 3)
+    for _ in range(4):
+        agent.train_step(batch)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for _ in range(20):
+            agent.train_step(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 512 * 1024, f"train steps peaked {peak - start} bytes above the start"
