@@ -200,7 +200,7 @@ class _Slicing:
             k = self.sra
             if k is None:
                 demands = cfg.demands_at(t)
-                if not np.array_equal(demands, self._regime[0]):
+                if demands is not self._regime[0]:  # demands_at returns each regime's own vector
                     self._regime = (demands, slicing_mod.water_fill_optimal(demands, cfg))
                 k = self._regime[1]
             next_obs, reward, info = self.env.step_allocation(k)

@@ -191,7 +191,8 @@ class ArrivalModel:
     def draw(self, rng: np.random.Generator) -> Array:
         if self.kind == "fixed":
             return self.sizes.copy()
-        return rng.uniform(self.low, self.high)
+        # Bit for bit rng.uniform(low, high), which also draws low + (high - low) * U[0, 1).
+        return self.low + (self.high - self.low) * rng.random(self.low.shape[0])
 
     def max_sizes(self) -> Array:
         """Upper bound of the arrival support, per server."""
@@ -237,8 +238,10 @@ class MecConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "MecConfig":
         fields = dict(payload)
-        fields["topology"] = EdgeTopology.from_dict(fields["topology"])
-        fields["arrivals"] = ArrivalModel.from_dict(fields["arrivals"])
+        for key, part in (("topology", EdgeTopology), ("arrivals", ArrivalModel)):
+            if not isinstance(fields[key], dict):
+                raise ValueError(f"{key} must be an object, got {fields[key]!r}")
+            fields[key] = part.from_dict(fields[key])
         config = cls(**fields)
         config.validate()
         return config
@@ -321,13 +324,15 @@ def evaluate_action(
         raise ValueError(f"arrival_sizes must have shape ({n},), got {sizes.shape}")
     if len(choices) != n:
         raise ValueError(f"need one choice per server ({n}), got {len(choices)}")
-    slot_cap = topology.slot_capacity()
-    overflow = np.maximum(0.0, sizes - slot_cap)
+    overflow = np.maximum(0.0, sizes - topology.slot_capacity())
+    # The per-server loops read Python floats: the same doubles, without NumPy's per-call cost.
+    over, size, cap = overflow.tolist(), sizes.tolist(), topology.capacities.tolist()
+    tau, cpb = topology.tau, topology.cycles_per_bit
 
     requested: list[int] = []
     for i, raw in enumerate(choices):
         c = int(raw)
-        if overflow[i] == 0.0:
+        if over[i] == 0.0:
             requested.append(NOOP)
             continue
         if c not in topology.routing_choices[i]:
@@ -342,16 +347,13 @@ def evaluate_action(
         if c >= 0:
             by_target.setdefault(c, []).append(i)
     for target, sources in by_target.items():
-        if overflow[target] > 0.0:
+        if over[target] > 0.0:
             continue
-        spare = topology.tau * topology.capacities[target] - topology.cycles_per_bit * sizes[target]
-        feasible = [
-            i for i in sources if topology.cycles_per_bit * overflow[i] <= spare + 1e-12
-        ]
+        spare = tau * cap[target] - cpb * size[target]
+        feasible = [i for i in sources if cpb * over[i] <= spare + 1e-12]
         if not feasible:
             continue
-        winner = max(feasible, key=lambda i: (overflow[i], -i))
-        accepted[target] = winner
+        accepted[target] = max(feasible, key=lambda i: (over[i], -i))
 
     effective: list[int] = []
     for i, c in enumerate(requested):
@@ -360,23 +362,16 @@ def evaluate_action(
         else:
             effective.append(c)
 
-    latencies = np.empty(n)
-    for i in range(n):
-        if overflow[i] == 0.0:
-            latencies[i] = latency_local(sizes[i], topology.capacities[i], topology.cycles_per_bit)
-        elif effective[i] == CORE:
-            latencies[i] = latency_core(overflow[i], topology.tau, topology.core_rate)
+    latencies = []
+    for i, (o, j) in enumerate(zip(over, effective)):
+        if o == 0.0:
+            latencies.append(latency_local(size[i], cap[i], cpb))
+        elif j == CORE:
+            latencies.append(latency_core(o, tau, topology.core_rate))
         else:
-            j = effective[i]
-            latencies[i] = latency_offload(
-                overflow[i],
-                topology.tau,
-                topology.link_rates[i, j],
-                topology.capacities[j],
-                topology.cycles_per_bit,
-            )
+            latencies.append(latency_offload(o, tau, topology.link_rates[i, j], cap[j], cpb))
     return SlotOutcome(
-        latencies=latencies,
+        latencies=np.array(latencies),
         effective=tuple(effective),
         requested=tuple(requested),
         accepted=accepted,
@@ -427,10 +422,11 @@ def brute_force_optimal(
     sources = [i for i, o in enumerate(over) if o > 0.0]
     local = [lat[i] for i, o in enumerate(over) if o == 0.0]
     # Spare capacity and feasibility in evaluate_action's order of operations, so the bits match.
-    spare = [topo.tau * c - topo.cycles_per_bit * s for c, s in zip(topo.capacities, sizes)]
+    cap = topo.capacities.tolist()
+    spare = [topo.tau * c - topo.cycles_per_bit * s for c, s in zip(cap, sizes.tolist())]
     offload = {
         (i, j): latency_offload(
-            over[i], topo.tau, topo.link_rates[i, j], topo.capacities[j], topo.cycles_per_bit
+            over[i], topo.tau, topo.link_rates[i, j], cap[j], topo.cycles_per_bit
         )
         for i in sources for j in topo.neighbors[i]
         if over[j] == 0.0 and topo.cycles_per_bit * over[i] <= spare[j] + 1e-12

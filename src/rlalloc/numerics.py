@@ -103,18 +103,16 @@ class ForwardCache:
 
 @dataclass
 class Gradients:
-    """Loss gradients w.r.t. parameters and the network input.
+    """Loss gradients w.r.t. the parameters, summed over the batch.
 
-    Parameter gradients are summed over the batch and laid out like
-    ``Mlp.flat``; ``weights[l]`` and ``biases[l]`` are views into ``flat``, a
-    vector shared by all networks. ``wrt_input`` keeps one row per batch element
-    (needed to push a critic's action-gradient into an actor).
+    Laid out like ``Mlp.flat``; ``weights[l]`` and ``biases[l]`` are views into
+    ``flat``, a vector shared by all networks. The input gradient is
+    :func:`mlp_input_gradient`'s.
     """
 
     flat: Array
     weights: list[Array]
     biases: list[Array]
-    wrt_input: Array
 
 
 def mlp_init(
@@ -182,8 +180,8 @@ def mlp_forward(mlp: Mlp, x: Array) -> tuple[Array, ForwardCache]:
     return y.copy(), mlp._cache
 
 
-def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grads) -> Array:
-    """Push ``grad_output`` to the input; fills ``w_grads``/``b_grads`` unless None."""
+def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grads):
+    """Fill ``w_grads``/``b_grads`` down to layer 0, or if None, return the input gradient."""
     if cache is not mlp._cache:
         raise ValueError("cache is stale or from another network; run mlp_forward again")
     acts = cache.activations
@@ -200,6 +198,8 @@ def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grad
         if w_grads is not None:
             np.matmul(g.T, acts[l], out=w_grads[l])
             np.sum(g, axis=0, out=b_grads[l])
+            if l == 0:
+                return None
         g = np.matmul(g, mlp.weights[l], out=_work(l, n, mlp.layer_sizes[l]))
         if l > 0:
             g *= acts[l] > 0.0
@@ -210,11 +210,12 @@ def mlp_gradients(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Gradient
     """Backpropagate ``grad_output`` (dLoss/dOutput) through the network's latest forward pass."""
     flat = _shared(0, mlp.flat.size)
     w_grads, b_grads = _layer_views(flat, mlp.layer_sizes)
-    return Gradients(flat, w_grads, b_grads, _backprop(mlp, cache, grad_output, w_grads, b_grads))
+    _backprop(mlp, cache, grad_output, w_grads, b_grads)
+    return Gradients(flat, w_grads, b_grads)
 
 
 def mlp_input_gradient(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Array:
-    """``mlp_gradients(...).wrt_input`` alone, skipping the parameter gradients' work."""
+    """A copy of dLoss/dInput, one row per batch element, without the parameter gradients."""
     return _backprop(mlp, cache, grad_output, None, None)
 
 
@@ -267,11 +268,15 @@ def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
     np.multiply(g, 1.0 - b1, out=s1)
     m += s1
     v *= b2
-    np.multiply(g, g, out=s1)
+    np.square(g, out=s1)
     s1 *= 1.0 - b2
     v += s1
-    np.divide(m, 1.0 - b1**t, out=s1)
-    s1 *= state.learning_rate
+    correction = 1.0 - b1**t
+    if correction == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, so skip that pass
+        np.multiply(m, state.learning_rate, out=s1)
+    else:
+        np.divide(m, correction, out=s1)
+        s1 *= state.learning_rate
     np.divide(v, 1.0 - b2**t, out=s2)
     np.sqrt(s2, out=s2)
     s2 += state.epsilon

@@ -168,8 +168,11 @@ class SliceConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "SliceConfig":
         fields = dict(payload)
-        if fields.get("services") is not None:
-            fields["services"] = [ServiceProfile.from_dict(s) for s in fields["services"]]
+        services = fields.get("services")
+        if services is not None:
+            if not (isinstance(services, list) and all(isinstance(s, dict) for s in services)):
+                raise ValueError(f"services must be a list of service objects, got {services!r}")
+            fields["services"] = [ServiceProfile.from_dict(s) for s in services]
         config = cls(**fields)
         config.validate()
         return config
@@ -239,9 +242,9 @@ def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Ar
         raise ValueError(
             f"shape mismatch: allocation {k.shape}, demands {d.shape}, ideal {c0.shape}"
         )
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("demands must be positive")
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValueError("allocations must be non-negative")
     return (np.minimum(k, d) / d) ** SCORE_EXPONENT / c0
 
@@ -253,9 +256,9 @@ def score_emulated(completed: Array, latency: Array, video_flag: Array, config: 
     f = np.asarray(video_flag, dtype=float)
     if config.latency_weights is None:
         raise ValueError("config has no latency_weights: not an emulated-mode config")
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ValueError("completion counts must be non-negative")
-    if np.any(l <= 0):
+    if (l <= 0).any():
         raise ValueError("latencies must be positive")
     return (r + config.latency_weights / l) ** SCORE_EXPONENT / config.ideal_scores + f
 
@@ -263,9 +266,9 @@ def score_emulated(completed: Array, latency: Array, video_flag: Array, config: 
 def utility(scores: Array) -> float:
     """Product of per-slice scores (the step reward)."""
     c = np.asarray(scores, dtype=float)
-    if np.any(c <= 0):
+    if (c <= 0).any():
         warnings.warn("non-positive slice score: utility loses its product meaning")
-    return float(np.prod(c))
+    return float(c.prod())
 
 
 def water_fill_optimal(demands: Array, config: SliceConfig) -> Array:
@@ -343,8 +346,11 @@ class SlicingEnv:
         return self._step_count
 
     def _observation(self, latencies: Array, demand_obs: Array) -> Array:
-        o = self._prev_allocation / self.config.total_bandwidth
-        return np.column_stack([o, latencies, demand_obs]).ravel()
+        obs = np.empty(3 * self.config.num_slices)  # per-slice (o, l, d) triples
+        np.divide(self._prev_allocation, self.config.total_bandwidth, out=obs[0::3])
+        obs[1::3] = latencies
+        obs[2::3] = demand_obs
+        return obs
 
     def reset(self) -> Array:
         cfg = self.config

@@ -214,6 +214,14 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
                 ("arrivals", UNIFORM, "high", [[2.0] * 4], "high must be a list of numbers"),
             )
         ),
+        ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, services="abc")},
+         "services must be a list of service objects, got 'abc'"),
+        ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, services=[1, 2, 3])},
+         "services must be a list of service objects, got [1, 2, 3]"),
+        ({"scenario": "mec", "policy": "rra", "env": {**MEC_ENV, "arrivals": 5}},
+         "arrivals must be an object, got 5"),
+        ({"scenario": "mec", "policy": "rra", "env": {**MEC_ENV, "topology": [1]}},
+         "topology must be an object, got [1]"),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -224,7 +232,8 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "cycles-per-bit-abc", "total-bandwidth-abc", "total-bandwidth-true", "video-size-abc",
          "voice-size-abc", "chat-size-abc", "step-duration-abc", "capacities-abc",
          "link-rates-abc", "shorthand-capacities-abc", "shorthand-capacities-matrix",
-         "shorthand-neighbors-abc", "link-rate-abc", "sizes-abc", "low-abc", "high-matrix"],
+         "shorthand-neighbors-abc", "link-rate-abc", "sizes-abc", "low-abc", "high-matrix",
+         "services-string", "services-ints", "arrivals-int", "topology-list"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)

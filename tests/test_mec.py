@@ -367,6 +367,57 @@ def test_conservation_and_single_acceptance_random_slots():
                 )
 
 
+def reference_outcome(topology, sizes, choices):
+    """evaluate_action's latencies and overflow, as a per-server loop over NumPy arrays."""
+    cpb = topology.cycles_per_bit
+    overflow = np.maximum(0.0, sizes - topology.slot_capacity())
+    requested = [NOOP if overflow[i] == 0.0 else int(c) for i, c in enumerate(choices)]
+    accepted = {}
+    for target in {c for c in requested if c >= 0}:
+        spare = topology.tau * topology.capacities[target] - cpb * sizes[target]
+        feasible = [
+            i for i, c in enumerate(requested) if c == target and cpb * overflow[i] <= spare + 1e-12
+        ]
+        if overflow[target] == 0.0 and feasible:
+            accepted[target] = max(feasible, key=lambda i: (overflow[i], -i))
+    latencies = np.empty(len(sizes))
+    for i, c in enumerate(requested):
+        if overflow[i] == 0.0:
+            latencies[i] = latency_local(sizes[i], topology.capacities[i], cpb)
+        elif accepted.get(c) != i:
+            latencies[i] = latency_core(overflow[i], topology.tau, topology.core_rate)
+        else:
+            latencies[i] = latency_offload(
+                overflow[i], topology.tau, topology.link_rates[i, c], topology.capacities[c], cpb
+            )
+    return latencies, overflow
+
+
+def test_evaluate_action_equals_per_server_numpy_reference():
+    rng = np.random.default_rng(24)
+    config = default_mec_config()
+    cases = [(config.topology, config.arrivals.draw(rng)) for _ in range(300)]
+    cases += random_fast_link_slots(300, rng)
+    offloaded = 0
+    for topology, sizes in cases:
+        choices = [routes[rng.integers(len(routes))] for routes in topology.routing_choices]
+        outcome = evaluate_action(topology, sizes, choices)
+        latencies, overflow = reference_outcome(topology, sizes, choices)
+        assert outcome.latencies.dtype == outcome.overflow.dtype == np.float64
+        assert np.array_equal(outcome.latencies, latencies)
+        assert np.array_equal(outcome.overflow, overflow)
+        offloaded += any(c >= 0 for c in outcome.effective)
+    assert offloaded > 100
+
+
+def test_uniform_draw_equals_rng_uniform_and_keeps_the_stream_position():
+    model = default_mec_config().arrivals
+    ours, theirs = np.random.default_rng(25), np.random.default_rng(25)
+    for _ in range(10_000):
+        assert np.array_equal(model.draw(ours), theirs.uniform(model.low, model.high))
+    assert ours.random() == theirs.random()
+
+
 # ---------------------------------------------------------------------------
 # Environment
 

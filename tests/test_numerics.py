@@ -65,6 +65,7 @@ def finite_difference_check(mlp, x, rng, step=1e-5):
     grad_output = rng.normal(size=(batch, mlp.out_dim))
     _, cache = mlp_forward(mlp, x)
     grads = mlp_gradients(mlp, cache, grad_output)
+    wrt_input = mlp_input_gradient(mlp, cache, grad_output)
 
     worst = 0.0
     for layer in range(mlp.n_layers):
@@ -95,7 +96,7 @@ def finite_difference_check(mlp, x, rng, step=1e-5):
             down = scalar_loss(mlp, x, grad_output)
             x[b, j] = orig
             numeric = (up - down) / (2 * step)
-            expected = grads.wrt_input[b, j]
+            expected = wrt_input[b, j]
             denom = max(abs(numeric), abs(expected), 1e-8)
             worst = max(worst, abs(numeric - expected) / denom)
     return worst
@@ -241,6 +242,29 @@ def test_adam_rejects_non_finite_gradients():
         adam_step(mlp, grads, state)
 
 
+def test_adam_bits_equal_the_bias_corrected_formula_on_both_sides_of_exact_correction():
+    # From some step on, 1 - beta1**t rounds to exactly 1.0 and adam_step skips dividing by it.
+    lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+    exact = next(t for t in range(1, 10_000) if 1.0 - b1**t == 1.0)
+    assert 300 < exact < 400
+    rng = np.random.default_rng(13)
+    mlp = mlp_init([4, 9, 3], "linear", rng=rng)
+    state = adam_init(mlp, learning_rate=lr)
+    _, cache = mlp_forward(mlp, rng.normal(size=(6, 4)))
+    grads = mlp_gradients(mlp, cache, rng.normal(size=(6, 3)))
+    g = grads.flat.copy()
+    for t in (1, exact - 2, exact - 1, exact, exact + 1, 5000):
+        state.step_count = t - 1
+        state.m[:] = rng.normal(size=g.size)
+        state.v[:] = rng.random(g.size)
+        m = state.m * b1 + g * (1.0 - b1)
+        v = state.v * b2 + (g * g) * (1.0 - b2)
+        p = mlp.flat - m / (1.0 - b1**t) * lr / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        adam_step(mlp, grads, state)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(mlp.flat, p), t
+
+
 def test_soft_update_blend_and_bounds():
     rng = np.random.default_rng(7)
     online = mlp_init([2, 3, 1], "linear", rng=rng)
@@ -367,11 +391,14 @@ def test_buffered_passes_equal_allocating_reference_bit_for_bit():
             grads = mlp_gradients(mlp, cache, grad_output)
             assert all(np.array_equal(a, b) for a, b in zip(grads.weights, w_grads))
             assert all(np.array_equal(a, b) for a, b in zip(grads.biases, b_grads))
-            assert np.array_equal(grads.wrt_input, wrt_input)
+            # The parameter backward leaves the cache current for the input gradient.
+            assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output), wrt_input)
         # A vector input takes the batch-1 path and returns vectors.
         y, cache = mlp_forward(mlp, x[0])
         assert np.array_equal(y, acts[-1][0])
-        assert np.array_equal(mlp_gradients(mlp, cache, grad_output[0]).wrt_input, wrt_input[0])
+        grads = mlp_gradients(mlp, cache, grad_output[0])
+        assert all(np.array_equal(a, b) for a, b in zip(grads.weights, w_grads))
+        assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output[0]), wrt_input[0])
 
 
 def test_stale_cache_is_rejected():

@@ -307,3 +307,21 @@ def test_emulated_env_is_deterministic_per_seed():
 
     assert rollout(7) == rollout(7)
     assert rollout(7) != rollout(8)
+
+
+def test_observation_equals_column_stack_reference():
+    rng = np.random.default_rng(22)
+    for config in (default_analytic_config(), default_emulated_config()):
+        env = SlicingEnv(config, rng=np.random.default_rng(23))
+        env.reset()
+        b = config.total_bandwidth
+        for _ in range(300):
+            k = config.k_min + rng.random(3) * 0.45
+            obs, _, info = env.step_allocation(k)
+            if config.mode == "analytic":
+                latency, demand = np.zeros(3), config.demands_at(env.step_count + 1) / b
+            else:
+                stats = info["stats"]
+                latency = np.array([s.mean_latency for s in stats]) / config.latency_weights
+                demand = np.array([s.arrived for s in stats]) / (b * config.step_duration)
+            assert np.array_equal(obs, np.column_stack([k / b, latency, demand]).ravel())

@@ -7,6 +7,7 @@ from rlalloc.traffic import (
     FluidQueue,
     ServiceProfile,
     SliceTraffic,
+    _mean,
 )
 
 
@@ -174,3 +175,12 @@ def test_advance_rejects_negative_bandwidth():
     tr = SliceTraffic(ServiceProfile.voice(0.3))
     with pytest.raises(ValueError):
         tr.advance(bandwidth=-1.0, rng=np.random.default_rng(0))
+
+
+def test_short_mean_equals_numpy_mean_bit_for_bit():
+    # Magnitudes spread over six decades, so that the order of summation shows in the last bit.
+    rng = np.random.default_rng(21)
+    for n in range(1, 13):
+        for _ in range(2000):
+            values = (rng.random(n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+            assert _mean(values).hex() == float(np.mean(values)).hex()
