@@ -54,6 +54,7 @@ from rlalloc.td3 import Td3Agent, Td3Hyperparams
 
 SLICING_POLICIES = ("td3", "sra", "optimal")
 MEC_POLICIES = ("dqn", "rra", "optimal")
+SIZE_CEILING = 10**8  # floats in one network's parameters, or in one replay buffer
 
 ENV_PRESETS: dict[str, Callable[[], SliceConfig | MecConfig]] = {
     "slicing-analytic": slicing_mod.default_analytic_config,
@@ -128,6 +129,8 @@ class ExperimentConfig:
                     env = MecConfig.from_dict(env_spec)
                 else:
                     raise ConfigError(f"unknown scenario {scenario!r}")
+            except KeyError as exc:  # a required field read as payload[key]
+                raise ConfigError(f"invalid env config: missing required key {exc}") from exc
             except (LookupError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid env config: {exc}") from exc
         else:
@@ -172,6 +175,21 @@ def _hyperparams(config: ExperimentConfig) -> Td3Hyperparams | DqnHyperparams:
     return hp
 
 
+def _check_sizes(
+    hp: Td3Hyperparams | DqnHyperparams, state_dim: int, action_width: int, networks: dict
+) -> None:
+    """Reject a network or a replay buffer above ``SIZE_CEILING`` floats before allocating it.
+
+    ``networks`` maps each hidden-size key to that network's layer sizes.
+    """
+    sizes = {f"agent.{key}": sum((a + 1) * b for a, b in zip(layers, layers[1:]))
+             for key, layers in networks.items()}
+    sizes["agent.buffer_capacity"] = hp.buffer_capacity * (2 * state_dim + action_width + 1)
+    for key, floats in sizes.items():
+        if floats > SIZE_CEILING:
+            raise ConfigError(f"{key} needs {floats} floats, above the ceiling of {SIZE_CEILING}")
+
+
 def _seed_streams(seed: int) -> dict[str, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(5)
     names = ("env", "init", "action", "sample", "baseline")
@@ -188,7 +206,10 @@ class _Slicing:
         self.action_dim = env.num_slices
         self.agent = None
         if config.policy == "td3":
-            self.agent = Td3Agent(env.observation_dim, env.num_slices, hp, rng=streams["init"])
+            s, a = env.observation_dim, env.num_slices
+            _check_sizes(hp, s, a, {"actor_hidden": (s, *hp.actor_hidden, a),
+                                    "critic_hidden": (s + a, *hp.critic_hidden, 1)})
+            self.agent = Td3Agent(s, a, hp, rng=streams["init"])
         elif config.policy == "optimal" and self.cfg.mode != "analytic":
             raise ConfigError("the water-filling policy needs analytic demands")
         self.sra = slicing_mod.sra(self.cfg) if config.policy == "sra" else None
@@ -247,7 +268,9 @@ class _Mec:
         self.agent = None
         if config.policy == "dqn":
             self.catalog = mec_mod.action_catalog(env_cfg)
-            self.agent = DqnAgent(env.observation_dim, len(self.catalog), hp, rng=streams["init"])
+            s = env.observation_dim
+            _check_sizes(hp, s, 1, {"hidden": (s, *hp.hidden, len(self.catalog))})
+            self.agent = DqnAgent(s, len(self.catalog), hp, rng=streams["init"])
         self.baseline_rng = streams["baseline"]
 
     def step(self, t: int, obs: np.ndarray, mode: str, action: int | None) -> tuple:

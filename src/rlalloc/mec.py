@@ -17,10 +17,13 @@ its own and can finish the extra work within the slot
 the largest overflow wins, ties break toward the lowest source index. Rejected
 requests fall back to the core. The system metric is ``L(t) = max_i L_i``.
 
-Baselines: ``brute_force_optimal`` scans every valid joint action for one
-slot, reading a latency table built once per slot, so that an action costs a
-max rather than an ``evaluate_action``; ``random_routing`` picks uniformly
-among each server's valid choices.
+One slot table, built once per slot, is the only code that applies this
+rule: each server's overflow, its local or core latency, and the latency of
+every offload a target could accept. ``evaluate_action`` resolves a joint
+choice against it. Baselines: ``brute_force_optimal`` scores every valid joint
+action from the same table, so that an action costs a max rather than an
+``evaluate_action``; ``random_routing`` picks uniformly among each server's
+valid choices.
 """
 
 from __future__ import annotations
@@ -309,6 +312,60 @@ class SlotOutcome:
         return float(self.latencies.max())
 
 
+def _slot_table(topology: EdgeTopology, arrival_sizes: Array) -> tuple[list, list, dict]:
+    """The offload rule for one slot's arrivals, applied once.
+
+    Returns each server's overflow; its latency with that overflow, if any,
+    sent to the core; and the latency of every ``(source, target)`` offload
+    the target could accept: the target has no overflow of its own and can
+    finish the source's overflow inside the slot.
+    """
+    n = topology.num_servers
+    sizes = np.asarray(arrival_sizes, dtype=float)
+    if sizes.shape != (n,):
+        raise ValueError(f"arrival_sizes must have shape ({n},), got {sizes.shape}")
+    # The table is built from Python floats: the same doubles, without NumPy's per-call cost.
+    over = np.maximum(0.0, sizes - topology.slot_capacity()).tolist()
+    size, cap = sizes.tolist(), topology.capacities.tolist()
+    tau, cpb = topology.tau, topology.cycles_per_bit
+    base = [
+        latency_local(s, c, cpb) if o == 0.0 else latency_core(o, tau, topology.core_rate)
+        for o, s, c in zip(over, size, cap)
+    ]
+    offload = {
+        (i, j): latency_offload(over[i], tau, topology.link_rates[i, j], cap[j], cpb)
+        for i in range(n) if over[i] > 0.0 for j in topology.neighbors[i]
+        if over[j] == 0.0 and cpb * over[i] <= tau * cap[j] - cpb * size[j] + 1e-12
+    }
+    return over, base, offload
+
+
+def _resolve(topology: EdgeTopology, table: tuple, choices) -> SlotOutcome:
+    """Validity, contention and latencies of ``choices`` against one slot's table."""
+    over, base, offload = table
+    if len(choices) != len(over):
+        raise ValueError(f"need one choice per server ({len(over)}), got {len(choices)}")
+    requested: list[int] = []
+    for i, raw in enumerate(choices):
+        c = int(raw)
+        if over[i] != 0.0 and c not in topology.routing_choices[i]:
+            raise ValueError(f"server {i} overflows: {c} is not in {topology.routing_choices[i]}")
+        requested.append(NOOP if over[i] == 0.0 else c)
+    # A target accepts one acceptable request: the largest overflow, ties to the lowest source.
+    accepted: dict[int, int] = {}
+    for i, c in enumerate(requested):
+        if (i, c) in offload and (c not in accepted or over[i] > over[accepted[c]]):
+            accepted[c] = i
+    effective = [CORE if c >= 0 and accepted.get(c) != i else c for i, c in enumerate(requested)]
+    return SlotOutcome(
+        latencies=np.array([offload.get((i, c), base[i]) for i, c in enumerate(effective)]),
+        effective=tuple(effective),
+        requested=tuple(requested),
+        accepted=accepted,
+        overflow=np.array(over),
+    )
+
+
 def evaluate_action(
     topology: EdgeTopology, arrival_sizes: Array, choices: tuple[int, ...] | list[int]
 ) -> SlotOutcome:
@@ -318,65 +375,7 @@ def evaluate_action(
     overflow are coerced to ``NOOP`` whatever was submitted; servers with
     overflow must submit ``CORE`` or one of their neighbors.
     """
-    n = topology.num_servers
-    sizes = np.asarray(arrival_sizes, dtype=float)
-    if sizes.shape != (n,):
-        raise ValueError(f"arrival_sizes must have shape ({n},), got {sizes.shape}")
-    if len(choices) != n:
-        raise ValueError(f"need one choice per server ({n}), got {len(choices)}")
-    overflow = np.maximum(0.0, sizes - topology.slot_capacity())
-    # The per-server loops read Python floats: the same doubles, without NumPy's per-call cost.
-    over, size, cap = overflow.tolist(), sizes.tolist(), topology.capacities.tolist()
-    tau, cpb = topology.tau, topology.cycles_per_bit
-
-    requested: list[int] = []
-    for i, raw in enumerate(choices):
-        c = int(raw)
-        if over[i] == 0.0:
-            requested.append(NOOP)
-            continue
-        if c not in topology.routing_choices[i]:
-            raise ValueError(f"server {i} overflows: {c} is not in {topology.routing_choices[i]}")
-        requested.append(c)
-
-    # Contention: a target accepts at most one request per slot, only when it
-    # has no overflow of its own and can finish the extra work inside the slot.
-    accepted: dict[int, int] = {}
-    by_target: dict[int, list[int]] = {}
-    for i, c in enumerate(requested):
-        if c >= 0:
-            by_target.setdefault(c, []).append(i)
-    for target, sources in by_target.items():
-        if over[target] > 0.0:
-            continue
-        spare = tau * cap[target] - cpb * size[target]
-        feasible = [i for i in sources if cpb * over[i] <= spare + 1e-12]
-        if not feasible:
-            continue
-        accepted[target] = max(feasible, key=lambda i: (over[i], -i))
-
-    effective: list[int] = []
-    for i, c in enumerate(requested):
-        if c >= 0 and accepted.get(c) != i:
-            effective.append(CORE)
-        else:
-            effective.append(c)
-
-    latencies = []
-    for i, (o, j) in enumerate(zip(over, effective)):
-        if o == 0.0:
-            latencies.append(latency_local(size[i], cap[i], cpb))
-        elif j == CORE:
-            latencies.append(latency_core(o, tau, topology.core_rate))
-        else:
-            latencies.append(latency_offload(o, tau, topology.link_rates[i, j], cap[j], cpb))
-    return SlotOutcome(
-        latencies=np.array(latencies),
-        effective=tuple(effective),
-        requested=tuple(requested),
-        accepted=accepted,
-        overflow=overflow,
-    )
+    return _resolve(topology, _slot_table(topology, arrival_sizes), choices)
 
 
 def _joint_actions(topology: EdgeTopology, overflowing: Array) -> list[tuple[int, ...]]:
@@ -409,37 +408,27 @@ def brute_force_optimal(
 ) -> tuple[tuple[int, ...], SlotOutcome]:
     """Exhaustive search for the joint choice minimizing the worst latency.
 
-    ``evaluate_action`` with all overflow at the core gives the local and core
-    latencies; ``offload`` holds each (source, neighbor) pair the neighbor could
-    accept, and any other request reads the core latency. Ties go to the
-    lexicographically first action, so an action in which contention rejects a
-    request is skipped: with that request sent to the core it is an earlier
-    action with the same latencies.
+    Every joint action is scored from the slot table: a request the table
+    holds reads its offload latency, any other server its local or core
+    latency. Ties go to the lexicographically first action, so an action in
+    which contention rejects a request is skipped: with that request sent to
+    the core it is an earlier action with the same latencies. The chosen
+    action is resolved against the same table.
     """
-    base = evaluate_action(topology, arrival_sizes, [CORE] * topology.num_servers)
-    topo, sizes = topology, np.asarray(arrival_sizes, dtype=float)
-    over, lat = base.overflow.tolist(), base.latencies.tolist()
+    table = _slot_table(topology, arrival_sizes)
+    over, base, offload = table
     sources = [i for i, o in enumerate(over) if o > 0.0]
-    local = [lat[i] for i, o in enumerate(over) if o == 0.0]
-    # Spare capacity and feasibility in evaluate_action's order of operations, so the bits match.
-    cap = topo.capacities.tolist()
-    spare = [topo.tau * c - topo.cycles_per_bit * s for c, s in zip(cap, sizes.tolist())]
-    offload = {
-        (i, j): latency_offload(
-            over[i], topo.tau, topo.link_rates[i, j], cap[j], topo.cycles_per_bit
-        )
-        for i in sources for j in topo.neighbors[i]
-        if over[j] == 0.0 and topo.cycles_per_bit * over[i] <= spare[j] + 1e-12
-    }
+    local = [base[i] for i, o in enumerate(over) if o == 0.0]
 
     def l_max(action: tuple[int, ...]) -> float:
         targets = [action[i] for i in sources if (i, action[i]) in offload]
         if len(set(targets)) < len(targets):
             return math.inf  # contention rejects one of the requests
-        return max(local + [offload.get((i, action[i]), lat[i]) for i in sources])
+        return max(local + [offload.get((i, action[i]), base[i]) for i in sources])
 
-    best = min(_joint_actions(topology, base.overflow > 0.0), key=l_max)  # min keeps the first
-    return best, evaluate_action(topology, arrival_sizes, best)
+    overflowing = [o > 0.0 for o in over]
+    best = min(_joint_actions(topology, overflowing), key=l_max)  # min keeps the first
+    return best, _resolve(topology, table, best)
 
 
 def random_routing(

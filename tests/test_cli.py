@@ -222,6 +222,27 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "arrivals must be an object, got 5"),
         ({"scenario": "mec", "policy": "rra", "env": {**MEC_ENV, "topology": [1]}},
          "topology must be an object, got [1]"),
+        *(
+            ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+              "agent": {key: value}}, f"agent.{key} needs")
+            for key, value in (("critic_hidden", [10**12]), ("actor_hidden", [10**6, 10**6]),
+                               ("buffer_capacity", 10**15))
+        ),
+        *(
+            ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {key: value}},
+             f"agent.{key} needs")
+            for key, value in (("hidden", [10**12]), ("buffer_capacity", 10**15))
+        ),
+        ({"scenario": "slicing", "policy": "sra",
+          "env": dict(EMULATED_ENV, services=[VIDEO, VOICE, {k: v for k, v in CHAT.items()
+                                                             if k != "kind"}])},
+         "missing required key 'kind'"),
+        *(
+            ({"scenario": "mec", "policy": "rra",
+              "env": {k: v for k, v in MEC_ENV.items() if k != key}},
+             f"missing required key {key!r}")
+            for key in ("topology", "arrivals")
+        ),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -233,7 +254,10 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "voice-size-abc", "chat-size-abc", "step-duration-abc", "capacities-abc",
          "link-rates-abc", "shorthand-capacities-abc", "shorthand-capacities-matrix",
          "shorthand-neighbors-abc", "link-rate-abc", "sizes-abc", "low-abc", "high-matrix",
-         "services-string", "services-ints", "arrivals-int", "topology-list"],
+         "services-string", "services-ints", "arrivals-int", "topology-list",
+         "td3-critic-hidden-huge", "td3-actor-hidden-huge", "td3-buffer-huge",
+         "dqn-hidden-huge", "dqn-buffer-huge", "service-without-kind", "mec-without-topology",
+         "mec-without-arrivals"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)

@@ -46,8 +46,9 @@ def test_demo_reproduces_committed_outputs(demo, tmp_path, monkeypatch):
 
 # Tiny runs through the branches the demos leave out: TD3 eval slots, emulated
 # TD3 and SRA (once with every slice behind, so earlier files' last video
-# chunks finish in later cycles), RRA and the optimum on both MEC presets, DQN
-# eval slots on mec-seven, and the oracle report: 15 digests. Each is the
+# chunks finish in later cycles), RRA and the optimum on both MEC presets and on
+# mec-seven with fast links, DQN eval slots on mec-seven, and the oracle report:
+# 17 digests. Each is the
 # sha256 of the metrics file, or of the sorted-key JSON of the oracle report,
 # as first recorded.
 TINY_TD3 = {
@@ -85,6 +86,22 @@ BACKLOGGED = {  # slicing-emulated with every slice behind: late last chunks
         {"kind": "chat", "mean_arrivals": 4.0, "size_min": 0.05, "size_max": 0.15},
     ],
     "latency_weights": [2.0, 1.0, 1.0],
+}
+
+FAST_LINKS = {  # mec-seven with links faster than the core: offloads win and contend
+    "topology": {
+        "capacities": [1000.0, 1000.0, 3000.0, 1000.0, 3000.0, 1000.0, 3000.0],
+        "neighbors": [[2, 3, 6], [4, 5], [0, 3, 4, 6], [0, 2, 6], [1, 2, 5], [1, 4], [0, 2, 3]],
+        "link_rate": 400.0,
+        "core_rate": 100.0,
+        "tau": 0.1,
+        "cycles_per_bit": 10.0,
+    },
+    "arrivals": {
+        "kind": "uniform",
+        "low": [8.0, 2.0, 8.0, 8.0, 2.0, 2.0, 8.0],
+        "high": [30.0, 10.0, 30.0, 30.0, 10.0, 10.0, 30.0],
+    },
 }
 
 
@@ -131,6 +148,14 @@ RUNS = {
     "mec-rra-small": (
         _payload("mec", "rra", "mec-small", 60),
         "eef104d8dc4e138855891ffe11ae1c79ff9f16443ecc6222296bbc4c1944fc8a",
+    ),
+    "mec-rra-fast-links": (  # 48 requests rejected by contention or headroom
+        _payload("mec", "rra", FAST_LINKS, 60),
+        "812d8d7cec87bb90072c2795df22ec1c46e969f9f4aec4c378ef2b8882fdfd72",
+    ),
+    "mec-optimal-fast-links": (  # offloads in 38 of 60 slots
+        _payload("mec", "optimal", FAST_LINKS, 60),
+        "5bd755a92d699bdf21223c99f97a89fb5e78becc2243b661ee6bec20cbb9e09a",
     ),
     "mec-optimal-seven": (
         _payload("mec", "optimal", "mec-seven", 40),

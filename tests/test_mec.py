@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from rlalloc import mec as mec_mod
+from rlalloc.harness import ExperimentConfig, run_experiment
 from rlalloc.mec import (
     CORE,
     NOOP,
@@ -311,6 +313,31 @@ def test_brute_force_optimal_small_config():
         assert evaluate_action(config.topology, sizes, candidate).l_max >= (
             outcome.l_max - 1e-12
         )
+
+
+def test_brute_force_reads_its_slot_table_without_evaluate_action(monkeypatch, tmp_path):
+    evaluate_calls = []  # the env looks evaluate_action up by its module-level name
+
+    def counted(*args):
+        evaluate_calls.append(args)
+        return evaluate_action(*args)
+
+    monkeypatch.setattr(mec_mod, "evaluate_action", counted)
+    config = default_mec_config()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        brute_force_optimal(config.topology, config.arrivals.draw(rng))
+    assert evaluate_calls == []
+    payload = {"scenario": "mec", "policy": "optimal", "seed": 1, "env": "mec-seven",
+               "total_steps": 30}
+    run_experiment(ExperimentConfig.from_dict(payload), tmp_path / "m.jsonl")
+    assert len(evaluate_calls) == 30  # one per slot: the env's own step
+
+
+def test_brute_force_rejects_wrong_length_arrivals():
+    topology = small_contention_config().topology
+    with pytest.raises(ValueError, match=r"arrival_sizes must have shape \(4,\), got \(3,\)"):
+        brute_force_optimal(topology, [24.0, 18.0, 8.0])
 
 
 def test_random_routing_is_valid_and_varied():
