@@ -14,10 +14,10 @@ from rlalloc.exceptions import ConfigError, TrainingDiverged
 from rlalloc.harness import (
     PLOT_KINDS,
     ExperimentConfig,
+    _read_metrics,
     compare,
     emit_plot_data,
     final_window,
-    load_metrics,
     oracle_report,
     run_experiment,
     sweep_epsilon,
@@ -61,10 +61,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config.seed = args.seed  # run_experiment validates it
     path = run_experiment(config, args.out)
-    records = load_metrics(path)
-    key = "U" if config.scenario == "slicing" else "L_max"
-    series = [r[key] for r in records]
-    tail = final_window(series)
+    records, _, key = _read_metrics(path)
+    tail = final_window([r[key] for r in records])
     print(f"wrote {len(records)} records to {path}")
     print(f"final-window mean {key}: {sum(tail) / len(tail):.6f}")
     return 0
@@ -82,7 +80,7 @@ def _compare(args: argparse.Namespace) -> int:
     print(f"scenario: {summary['scenario']} (objective: {obj})")
     for row in summary["runs"]:
         print(
-            f"  {row['policy']:<8} records={row['records']:<6} "
+            f"  {row['name']:<8} records={row['records']:<6} "
             f"mean={row['mean']:.6f} final_window={row['final_window_mean']:.6f} "
             f"({row['path']})"
         )

@@ -362,24 +362,35 @@ def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None)
 
 
 def load_metrics(path: str | Path) -> list[dict]:
-    """Read a JSONL metrics file into a list of records."""
-    records = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    """Read a JSONL metrics file into a list of records.
+
+    An unreadable file or a line that is not JSON, such as a killed run's cut last line, is a
+    ``ConfigError`` that names the file.
+    """
+    records, n = [], 0
+    try:
+        with Path(path).open() as fh:
+            for n, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(json.loads(line))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read metrics file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"metrics file {path}, line {n}: not valid JSON ({exc.msg})") from exc
     return records
 
 
-def _objective_series(records: list[dict]) -> tuple[str, list[float]]:
-    if not records:
-        raise ConfigError("metrics file is empty")
-    if "step" in records[0]:
-        return "slicing", [r["U"] for r in records]
-    if "slot" in records[0]:
-        return "mec", [r["L_max"] for r in records]
-    raise ConfigError("unrecognized metrics schema (no 'step' or 'slot' key)")
+def _read_metrics(path: str | Path) -> tuple[list[dict], str | None, str | None]:
+    """A metrics file's records, scenario and objective key (None and None if it is empty)."""
+    records = load_metrics(path)
+    first = records[0] if records and isinstance(records[0], dict) else {}
+    if "step" in first:
+        return records, "slicing", "U"
+    if "slot" in first:
+        return records, "mec", "L_max"
+    if records:
+        raise ConfigError(f"metrics file {path} has an unknown schema (no 'step' or 'slot' key)")
+    return records, None, None
 
 
 def final_window(values: list[float], fraction: float = 0.05) -> list[float]:
@@ -393,54 +404,67 @@ def compare(paths: list[str | Path]) -> dict:
 
     The final window is the last 5% of each run. For slicing runs the
     objective is the utility ``U`` (higher is better); for offloading runs it
-    is ``L_max`` (lower is better).
+    is ``L_max`` (lower is better). Each run is named by its policy, with
+    ``#2``, ``#3``, ... on repeats, and the ratios use these names.
     """
     if len(paths) < 2:
         raise ConfigError("compare needs at least two metrics files")
-    rows = []
-    scenario_seen = set()
+    rows: list[dict] = []
+    scenarios = set()
     for path in paths:
-        records = load_metrics(path)
-        scenario, series = _objective_series(records)
-        scenario_seen.add(scenario)
-        window = final_window(series)
-        rows.append(
-            {
-                "path": str(path),
-                "policy": records[0].get("policy", "unknown"),
-                "records": len(records),
-                "objective": "U" if scenario == "slicing" else "L_max",
-                "mean": float(np.mean(series)),
-                "final_window_mean": float(np.mean(window)),
-            }
-        )
-    if len(scenario_seen) > 1:
-        raise ConfigError(f"cannot compare across scenarios: {sorted(scenario_seen)}")
-    names = []
-    for row in rows:
-        base = row["policy"]
-        name = base
-        k = 2
-        while name in names:
-            name = f"{base}#{k}"
-            k += 1
-        names.append(name)
-    ratios = {}
-    for i, row_i in enumerate(rows):
-        for j, row_j in enumerate(rows):
-            if i == j:
-                continue
-            denom = row_j["final_window_mean"]
-            if denom != 0:
-                ratios[f"{names[i]}/{names[j]}"] = row_i["final_window_mean"] / denom
-    return {
-        "scenario": scenario_seen.pop(),
-        "runs": rows,
-        "final_window_ratios": ratios,
+        records, scenario, objective = _read_metrics(path)
+        if not records:
+            raise ConfigError(f"metrics file is empty: {path}")
+        scenarios.add(scenario)
+        policy = records[0].get("policy", "unknown")
+        name, k = policy, 2
+        while any(row["name"] == name for row in rows):
+            name, k = f"{policy}#{k}", k + 1
+        series = [r[objective] for r in records]
+        rows.append({"path": str(path), "policy": policy, "name": name, "records": len(records),
+                     "objective": objective, "mean": float(np.mean(series)),
+                     "final_window_mean": float(np.mean(final_window(series)))})
+    if len(scenarios) > 1:
+        raise ConfigError(f"cannot compare across scenarios: {sorted(scenarios)}")
+    ratios = {
+        f"{a['name']}/{b['name']}": a["final_window_mean"] / b["final_window_mean"]
+        for a in rows for b in rows if a is not b and b["final_window_mean"] != 0
     }
+    return {"scenario": scenarios.pop(), "runs": rows, "final_window_ratios": ratios}
 
 
-PLOT_KINDS = ("allocation", "scores", "latency", "epsilon-sweep")
+# Single-file plot kind -> the scenario it reads, its CSV header from the first record
+# (None for an empty file), and one record's row.
+_PLOTS: dict[str, tuple[str, Callable, Callable]] = {
+    "allocation": (
+        "slicing",
+        lambda r: ["step", *(f"share_{i + 1}" for i in range(len(r["k"]) if r else 0))],
+        lambda r: [r["step"], *(k / r["B"] for k in r["k"])],
+    ),
+    "scores": (
+        "slicing",
+        lambda r: ["step", *(f"c_{i + 1}" for i in range(len(r["c"]))), "U"] if r else ["step"],
+        lambda r: [r["step"], *r["c"], r["U"]],
+    ),
+    "latency": ("mec", lambda r: ["slot", "L_max"], lambda r: [r["slot"], r["L_max"]]),
+}
+PLOT_KINDS = (*_PLOTS, "epsilon-sweep")
+
+
+def _write_plot(out: Path, kind: str, files: list[list[dict]], paths: list[str | Path]) -> None:
+    """Build every row of a ``kind`` CSV, then write it: a record that fails leaves no CSV."""
+    if kind == "epsilon-sweep":  # aligned train-slot L_max columns, one per file
+        runs = [[r for r in records if r["phase"] == "train"] for records in files]
+        labels = [f"eps_{run[0]['epsilon']}" if run and run[0].get("epsilon") is not None
+                  else Path(path).stem for run, path in zip(runs, paths)]
+        header = ["slot"] + [f"L_max_{label}" for label in labels]
+        rows = [[recs[0]["slot"]] + [r["L_max"] for r in recs] for recs in zip(*runs)]
+    else:
+        _, header_of, row_of = _PLOTS[kind]
+        header = header_of(files[0][0] if files[0] else None)
+        rows = [row_of(r) for r in files[0]]
+    with out.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def emit_plot_data(
@@ -458,55 +482,15 @@ def emit_plot_data(
         raise ConfigError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
     if kind != "epsilon-sweep" and len(paths) != 1:
         raise ConfigError(f"plot kind {kind!r} takes exactly one metrics file")
-    if out_path is None:
-        stem = Path(paths[0]).stem
-        out_path = Path(f"{stem}-{kind}.csv")
-    out = Path(out_path)
-
-    def rows_for_single(records: list[dict]) -> tuple[list[str], list[list]]:
-        if kind == "allocation":
-            if not records:
-                return ["step"], []
-            n = len(records[0]["k"])
-            header = ["step"] + [f"share_{i+1}" for i in range(n)]
-            body = [
-                [r["step"]] + [k / r["B"] for k in r["k"]]
-                for r in records
-            ]
-            return header, body
-        if kind == "scores":
-            if not records:
-                return ["step"], []
-            n = len(records[0]["c"])
-            header = ["step"] + [f"c_{i+1}" for i in range(n)] + ["U"]
-            body = [[r["step"]] + list(r["c"]) + [r["U"]] for r in records]
-            return header, body
-        # latency
-        header = ["slot", "L_max"]
-        body = [[r["slot"], r["L_max"]] for r in records]
-        return header, body
-
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if kind == "epsilon-sweep":
-            runs = [[r for r in load_metrics(p) if r["phase"] == "train"] for p in paths]
-            labels = []
-            for run, path in zip(runs, paths):
-                eps = run[0].get("epsilon") if run else None
-                labels.append(f"eps_{eps}" if eps is not None else Path(path).stem)
-            writer.writerow(["slot"] + [f"L_max_{lab}" for lab in labels])
-            length = min((len(r) for r in runs), default=0)
-            for i in range(length):
-                writer.writerow([runs[0][i]["slot"]] + [run[i]["L_max"] for run in runs])
-        else:
-            records = load_metrics(paths[0])
-            if records and kind == "latency" and "slot" not in records[0]:
-                raise ConfigError("latency plots need offloading metrics")
-            if records and kind in ("allocation", "scores") and "step" not in records[0]:
-                raise ConfigError(f"{kind} plots need slicing metrics")
-            header, body = rows_for_single(records)
-            writer.writerow(header)
-            writer.writerows(body)
+    need = _PLOTS[kind][0] if kind in _PLOTS else "mec"
+    files = []
+    for path in paths:
+        records, scenario, _ = _read_metrics(path)
+        if records and scenario != need:
+            raise ConfigError(f"{kind} plots need {need} metrics; {path} holds {scenario} metrics")
+        files.append(records)
+    out = Path(out_path) if out_path is not None else Path(f"{Path(paths[0]).stem}-{kind}.csv")
+    _write_plot(out, kind, files, paths)
     return out
 
 
@@ -529,14 +513,14 @@ def sweep_epsilon(
         raise ConfigError("need at least one epsilon value")
     base_dir = Path(out_dir) if out_dir is not None else Path(".")
     base_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    summaries = []
+    paths, files, summaries = [], [], []
     for eps in values:
         overrides = dict(config.agent_overrides, epsilon=float(eps))
         run_cfg = replace(config, agent_overrides=overrides)
         path = base_dir / f"metrics-mec-dqn-eps{eps}-seed{config.seed}.jsonl"
         run_experiment(run_cfg, path)
-        series = [r["L_max"] for r in load_metrics(path) if r["phase"] == "train"]
+        records = load_metrics(path)
+        series = [r["L_max"] for r in records if r["phase"] == "train"]
         summaries.append(
             {
                 "epsilon": float(eps),
@@ -545,8 +529,9 @@ def sweep_epsilon(
             }
         )
         paths.append(path)
+        files.append(records)
     csv_path = base_dir / f"epsilon-sweep-seed{config.seed}.csv"
-    emit_plot_data(paths, "epsilon-sweep", csv_path)
+    _write_plot(csv_path, "epsilon-sweep", files, paths)
     return {"runs": summaries, "metrics_paths": [str(p) for p in paths], "csv_path": str(csv_path)}
 
 

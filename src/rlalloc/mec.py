@@ -506,7 +506,6 @@ class MecEnv:
             "requested": outcome.requested,
             "effective": outcome.effective,
             "accepted": outcome.accepted,
-            "overflow": outcome.overflow,
         }
         self._prev_latencies = outcome.latencies
         self._prev_effective = outcome.effective

@@ -370,10 +370,7 @@ class SlicingEnv:
 
     def step(self, action: Array) -> tuple[Array, float, dict]:
         """Apply an action in ``[-1, 1]^I``; returns (obs, utility, info)."""
-        k = map_action(action, self.config)
-        obs, reward, info = self.step_allocation(k)
-        info["action"] = np.asarray(action, dtype=float)
-        return obs, reward, info
+        return self.step_allocation(map_action(action, self.config))
 
     def step_allocation(self, allocation: Array) -> tuple[Array, float, dict]:
         """Apply a bandwidth split directly (used by the closed-form baselines)."""
@@ -393,7 +390,7 @@ class SlicingEnv:
             obs = self._observation(
                 np.zeros(cfg.num_slices), cfg.demands_at(t + 1) / cfg.total_bandwidth
             )
-            info = {"k": k, "scores": scores, "utility": reward, "demands": demands_now}
+            info = {"k": k, "scores": scores, "demands": demands_now}
         else:
             stats = [tr.advance(k_i, self._rng) for tr, k_i in zip(self._traffic, k)]
             latency = np.array([s.mean_latency for s in stats])
@@ -407,6 +404,6 @@ class SlicingEnv:
                 cfg.total_bandwidth * cfg.step_duration
             )
             obs = self._observation(latency / cfg.latency_weights, demand_obs)
-            info = {"k": k, "scores": scores, "utility": reward, "stats": stats}
+            info = {"k": k, "scores": scores, "stats": stats}
         self._last_obs = obs
         return obs, reward, info

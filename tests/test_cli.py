@@ -363,6 +363,79 @@ def test_compare_one_file_exits_2(sra_config, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_rows_use_their_deduplicated_names(sra_config, tmp_path, capsys):
+    opt_cfg = write_config(
+        tmp_path,
+        "opt.json",
+        {"scenario": "slicing", "policy": "optimal", "env": "slicing-analytic",
+         "seed": 0, "total_steps": 20},
+    )
+    sra, opt = tmp_path / "sra.jsonl", tmp_path / "opt.jsonl"
+    cli.main(["run", "--config", str(sra_config), "--out", str(sra)])
+    cli.main(["run", "--config", str(opt_cfg), "--out", str(opt)])
+    capsys.readouterr()
+    assert cli.main(["compare", str(sra), str(opt), str(sra)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[0] for line in lines if "records=" in line] == ["sra", "optimal", "sra#2"]
+    assert "  ratio sra#2/optimal = 0.4770" in lines
+
+
+@pytest.fixture
+def metrics_dir(sra_config, tmp_path, capsys, monkeypatch):
+    """Good and bad metrics files in a scratch directory that is also the working directory."""
+    rra = write_config(
+        tmp_path, "rra.json", {"scenario": "mec", "policy": "rra", "env": "mec-small",
+                               "total_steps": 20},
+    )
+    cli.main(["run", "--config", str(sra_config), "--out", str(tmp_path / "slicing.jsonl")])
+    cli.main(["run", "--config", str(rra), "--out", str(tmp_path / "mec.jsonl")])
+    capsys.readouterr()
+    lines = (tmp_path / "slicing.jsonl").read_text().splitlines()
+    (tmp_path / "cut.jsonl").write_text("\n".join(lines[:5] + [lines[5][:40]]))  # a killed run
+    (tmp_path / "schema.jsonl").write_text('{"t": 1, "U": 0.5}\n')
+    (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\x00\x01\n")
+    (tmp_path / "folder.jsonl").mkdir()
+    (tmp_path / "empty.jsonl").write_text("")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compare", "slicing.jsonl", "missing.jsonl"], "missing.jsonl"),
+        (["compare", "slicing.jsonl", "folder.jsonl"], "folder.jsonl"),
+        (["compare", "slicing.jsonl", "binary.jsonl"], "binary.jsonl"),
+        (["compare", "slicing.jsonl", "cut.jsonl"], "cut.jsonl, line 6"),
+        (["compare", "slicing.jsonl", "schema.jsonl"], "schema.jsonl"),
+        (["compare", "slicing.jsonl", "empty.jsonl"], "metrics file is empty: empty.jsonl"),
+        (["plot", "--kind", "latency", "missing.jsonl"], "missing.jsonl"),
+        (["plot", "--kind", "scores", "cut.jsonl"], "cut.jsonl, line 6"),
+        (["plot", "--kind", "latency", "schema.jsonl"], "schema.jsonl"),
+        (["plot", "--kind", "allocation", "mec.jsonl"], "mec.jsonl"),
+        (["plot", "--kind", "latency", "slicing.jsonl"], "slicing.jsonl"),
+        (["plot", "--kind", "epsilon-sweep", "mec.jsonl", "slicing.jsonl"], "slicing.jsonl"),
+    ],
+    ids=["compare-missing", "compare-directory", "compare-not-utf8", "compare-cut-line",
+         "compare-unknown-schema", "compare-empty", "plot-missing", "plot-cut-line",
+         "plot-unknown-schema", "allocation-of-mec", "latency-of-slicing", "sweep-of-slicing"],
+)
+def test_bad_metrics_file_exits_2_and_writes_nothing(argv, named, metrics_dir, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert err.count("\n") == 1
+    assert list(metrics_dir.glob("*.csv")) == []
+
+
+def test_plot_empty_metrics_file_writes_header_only(metrics_dir, capsys):
+    for kind, header in [("allocation", ["step"]), ("scores", ["step"]),
+                         ("latency", ["slot", "L_max"])]:
+        assert cli.main(["plot", "--kind", kind, "empty.jsonl"]) == 0
+        assert list(csv.reader(open(f"empty-{kind}.csv"))) == [header]
+    capsys.readouterr()
+
+
 def test_plot_subcommand(sra_config, tmp_path, capsys):
     metrics = tmp_path / "m.jsonl"
     cli.main(["run", "--config", str(sra_config), "--out", str(metrics)])

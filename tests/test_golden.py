@@ -1,6 +1,6 @@
 """The committed demo traces are an executable regression check.
 
-Demos 02, 03 and 05 are rerun in a scratch directory, and every file they
+Demos 02, 03, 04 and 05 are rerun in a scratch directory, and every file they
 write must equal, byte for byte, its committed copy under ``demo-output/``.
 Any change to the numerics, the environments, the seeding or the metrics
 writer that alters a single output bit fails here. Tiny seeded runs through
@@ -29,6 +29,12 @@ DEMOS = {
         "slicing-td3-scores.csv",
     ],
     "03_train_offloading": ["mec-dqn-small.jsonl"],
+    "04_epsilon_sweep": [
+        "sweep/epsilon-sweep-seed0.csv",
+        "sweep/metrics-mec-dqn-eps0.1-seed0.jsonl",
+        "sweep/metrics-mec-dqn-eps0.3-seed0.jsonl",
+        "sweep/metrics-mec-dqn-eps0.5-seed0.jsonl",
+    ],
     "05_determinism": ["det-a.jsonl", "det-b.jsonl", "det-long.jsonl"],
 }
 
@@ -37,10 +43,11 @@ DEMOS = {
 def test_demo_reproduces_committed_outputs(demo, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(REPO / "demos" / f"{demo}.py"), run_name="__main__")
-    written = sorted(p.name for p in (tmp_path / "demo-output").iterdir())
+    out = tmp_path / "demo-output"
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert written == sorted(DEMOS[demo])
     for name in DEMOS[demo]:
-        fresh = (tmp_path / "demo-output" / name).read_bytes()
+        fresh = (out / name).read_bytes()
         assert fresh == (GOLDEN / name).read_bytes(), f"{name} differs from demo-output/{name}"
 
 

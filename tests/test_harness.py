@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rlalloc.harness as harness_mod
 import rlalloc.slicing as slicing_mod
 from rlalloc.exceptions import ConfigError
 from rlalloc.harness import (
@@ -510,6 +511,18 @@ def test_sweep_epsilon_keeps_eval_slots(tmp_path):
     plain = sweep_epsilon(mec_config("dqn", total_steps=40), [0.2, 0.8], tmp_path / "plain")
     assert result["runs"] == plain["runs"]
     assert Path(result["csv_path"]).read_bytes() == Path(plain["csv_path"]).read_bytes()
+
+
+def test_sweep_epsilon_reads_each_metrics_file_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_load(path):
+        reads.append(Path(path).name)
+        return load_metrics(path)
+
+    monkeypatch.setattr(harness_mod, "load_metrics", counting_load)
+    result = sweep_epsilon(mec_config("dqn", total_steps=40), [0.2, 0.8], tmp_path / "sweep")
+    assert reads == [Path(p).name for p in result["metrics_paths"]]
 
 
 def test_sweep_epsilon_guards(tmp_path):

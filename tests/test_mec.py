@@ -182,6 +182,22 @@ def test_contention_tie_breaks_to_lowest_source():
     assert out.effective == (2, CORE, NOOP)
 
 
+def test_offload_accepted_when_headroom_matches_up_to_rounding():
+    topo = EdgeTopology(
+        capacities=np.array([1000.0, 3000.0]),
+        neighbors=((1,), (0,)),
+        link_rates=np.full((2, 2), 500.0),
+        core_rate=100.0,
+        tau=0.1,
+        cycles_per_bit=10.0,
+    )
+    sizes = np.array([10.05, 29.95])
+    # Server 0's 0.05 overflow needs 0.5 cycles, exactly server 1's spare 0.5; in
+    # floating point the need comes out 0.5000000000000071.
+    assert 10.0 * (sizes[0] - topo.slot_capacity()[0]) > 0.1 * 3000.0 - 10.0 * sizes[1]
+    assert evaluate_action(topo, sizes, (1, NOOP)).accepted == {1: 0}
+
+
 def test_offload_to_overflowing_target_is_rejected():
     config = small_contention_config()
     sizes = config.arrivals.draw(np.random.default_rng(0))
