@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged, is_count, is_real
+from rlalloc.exceptions import TrainingDiverged, check_learner, check_mode, hidden_tuples, is_real
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -27,8 +27,6 @@ from rlalloc.numerics import (
 from rlalloc.replay import Batch
 
 Array = np.ndarray
-
-ACTION_MODES = ("explore", "train", "eval")
 
 
 @dataclass
@@ -46,9 +44,7 @@ class DqnHyperparams:
     hidden: tuple[int, ...] = (256, 256)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.hidden, (list, tuple)):
-            raise ValueError(f"hidden must be a list of layer sizes, got {self.hidden!r}")
-        self.hidden = tuple(self.hidden)
+        hidden_tuples(self, "hidden")
 
     def validate(self) -> None:
         # Written as "not (good)" so that NaN, which fails every comparison, fails too.
@@ -59,17 +55,7 @@ class DqnHyperparams:
             value = getattr(self, name)
             if not (is_real(value) and 0 <= value <= 1):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name, minimum in (("target_sync_period", 1), ("batch_size", 1), ("buffer_capacity", 1),
-                              ("exploration_steps", 0), ("total_steps", 0)):
-            value = getattr(self, name)
-            if not is_count(value, minimum):
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.buffer_capacity < self.batch_size:
-            raise ValueError("need buffer_capacity >= batch_size")
-        if self.exploration_steps > self.total_steps:
-            raise ValueError("need exploration_steps <= total_steps")
-        if not all(is_count(h, 1) for h in self.hidden):
-            raise ValueError("hidden layer sizes must be positive integers")
+        check_learner(self, "target_sync_period", "hidden")
 
 
 class DqnAgent:
@@ -104,17 +90,11 @@ class DqnAgent:
         self, state: Array, mode: str, rng: np.random.Generator | None = None
     ) -> int:
         """Pick an action index: uniform (explore), epsilon-greedy (train), greedy (eval)."""
-        if mode not in ACTION_MODES:
-            raise ValueError(f"mode must be one of {ACTION_MODES}, got {mode!r}")
+        check_mode(mode, rng)
         if mode == "explore":
-            if rng is None:
-                raise ValueError("explore mode needs an rng")
             return int(rng.integers(0, self.num_actions))
-        if mode == "train":
-            if rng is None:
-                raise ValueError("train mode needs an rng")
-            if rng.uniform() < self.hp.epsilon:
-                return int(rng.integers(0, self.num_actions))
+        if mode == "train" and rng.uniform() < self.hp.epsilon:
+            return int(rng.integers(0, self.num_actions))
         return int(np.argmin(self.q_values(state)))
 
     def train_step(self, batch: Batch) -> float:

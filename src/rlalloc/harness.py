@@ -48,6 +48,7 @@ from rlalloc import slicing as slicing_mod
 from rlalloc.dqn import DqnAgent, DqnHyperparams
 from rlalloc.exceptions import ConfigError, is_count
 from rlalloc.mec import MecConfig, MecEnv
+from rlalloc.numerics import _flat_size
 from rlalloc.replay import ReplayBuffer, Transition
 from rlalloc.slicing import SliceConfig, SlicingEnv
 from rlalloc.td3 import Td3Agent, Td3Hyperparams
@@ -182,8 +183,7 @@ def _check_sizes(
 
     ``networks`` maps each hidden-size key to that network's layer sizes.
     """
-    sizes = {f"agent.{key}": sum((a + 1) * b for a, b in zip(layers, layers[1:]))
-             for key, layers in networks.items()}
+    sizes = {f"agent.{key}": _flat_size(layers) for key, layers in networks.items()}
     sizes["agent.buffer_capacity"] = hp.buffer_capacity * (2 * state_dim + action_width + 1)
     for key, floats in sizes.items():
         if floats > SIZE_CEILING:
@@ -266,8 +266,9 @@ class _Mec:
         env = self.env = MecEnv(env_cfg, rng=streams["env"])
         self.action_dim = None  # a scalar action index
         self.agent = None
-        if config.policy == "dqn":
+        if config.policy != "rra":  # brute force (optimal, DQN's eval) searches within it
             self.catalog = mec_mod.action_catalog(env_cfg)
+        if config.policy == "dqn":
             s = env.observation_dim
             _check_sizes(hp, s, 1, {"hidden": (s, *hp.hidden, len(self.catalog))})
             self.agent = DqnAgent(s, len(self.catalog), hp, rng=streams["init"])
@@ -380,14 +381,27 @@ def load_metrics(path: str | Path) -> list[dict]:
     return records
 
 
+# Scenario -> its objective key and the keys that compare, plot and the run summary read.
+_SCHEMAS = {"slicing": ("U", {"step", "k", "c", "U", "B"}),
+            "mec": ("L_max", {"slot", "phase", "L_max"})}
+
+
 def _read_metrics(path: str | Path) -> tuple[list[dict], str | None, str | None]:
-    """A metrics file's records, scenario and objective key (None and None if it is empty)."""
+    """A metrics file's records, scenario and objective key (None and None if it is empty).
+
+    The first record's ``step`` or ``slot`` key names the scenario, and every record must
+    hold that scenario's keys.
+    """
     records = load_metrics(path)
     first = records[0] if records and isinstance(records[0], dict) else {}
-    if "step" in first:
-        return records, "slicing", "U"
-    if "slot" in first:
-        return records, "mec", "L_max"
+    scenario = "slicing" if "step" in first else "mec" if "slot" in first else None
+    if scenario is not None:
+        objective, keys = _SCHEMAS[scenario]
+        for n, record in enumerate(records, 1):
+            if not (isinstance(record, dict) and keys <= record.keys()):
+                raise ConfigError(f"metrics file {path}, record {n}: not a {scenario} record "
+                                  f"(needs keys {sorted(keys)})")
+        return records, scenario, objective
     if records:
         raise ConfigError(f"metrics file {path} has an unknown schema (no 'step' or 'slot' key)")
     return records, None, None
@@ -463,6 +477,7 @@ def _write_plot(out: Path, kind: str, files: list[list[dict]], paths: list[str |
         _, header_of, row_of = _PLOTS[kind]
         header = header_of(files[0][0] if files[0] else None)
         rows = [row_of(r) for r in files[0]]
+    out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
 
@@ -574,6 +589,7 @@ def oracle_report(config: ExperimentConfig, slots: int = 100) -> dict:
             )
         return report
     env_cfg_m: MecConfig = config.env  # type: ignore[assignment]
+    catalog = mec_mod.action_catalog(env_cfg_m)  # above the enumeration ceiling: ConfigError
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n_slots = 1 if env_cfg_m.arrivals.kind == "fixed" else slots
     optima = []
@@ -592,6 +608,5 @@ def oracle_report(config: ExperimentConfig, slots: int = 100) -> dict:
     }
     if n_slots == 1:
         report["optimal_action"] = list(actions[0])
-        catalog = mec_mod.action_catalog(env_cfg_m)
         report["action_catalog_size"] = len(catalog)
     return report

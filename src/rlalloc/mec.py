@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlalloc.exceptions import _vector, is_real
+from rlalloc.exceptions import ConfigError, _vector, config_dict, is_real
 
 Array = np.ndarray
 
@@ -130,15 +130,7 @@ class EdgeTopology:
         """Data each server can process within one slot."""
         return self.tau * self.capacities / self.cycles_per_bit
 
-    def to_dict(self) -> dict:
-        return {
-            "capacities": self.capacities.tolist(),
-            "neighbors": [list(ns) for ns in self.neighbors],
-            "link_rates": self.link_rates.tolist(),
-            "core_rate": self.core_rate,
-            "tau": self.tau,
-            "cycles_per_bit": self.cycles_per_bit,
-        }
+    to_dict = config_dict
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EdgeTopology":
@@ -201,10 +193,7 @@ class ArrivalModel:
         """Upper bound of the arrival support, per server."""
         return self.sizes.copy() if self.kind == "fixed" else self.high.copy()
 
-    def to_dict(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "sizes": self.sizes.tolist()}
-        return {"kind": "uniform", "low": self.low.tolist(), "high": self.high.tolist()}
+    to_dict = config_dict
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ArrivalModel":
@@ -235,8 +224,7 @@ class MecConfig:
         max_s = float(self.arrivals.max_sizes().max())
         return 2.0 * topo.tau + max_s / min(rates)
 
-    def to_dict(self) -> dict:
-        return {"topology": self.topology.to_dict(), "arrivals": self.arrivals.to_dict()}
+    to_dict = config_dict
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MecConfig":
@@ -383,7 +371,7 @@ def _joint_actions(topology: EdgeTopology, overflowing: Array) -> list[tuple[int
     options = [r if over else (NOOP,) for r, over in zip(topology.routing_choices, overflowing)]
     count = math.prod(len(o) for o in options)
     if count > ENUMERATION_CEILING:
-        raise ValueError(
+        raise ConfigError(
             f"joint action space has {count} entries (> {ENUMERATION_CEILING}); "
             "this instance is too large to enumerate — reduce servers or neighbors"
         )

@@ -98,7 +98,6 @@ class ForwardCache:
     """
 
     activations: list[Array]
-    squeeze: bool
 
 
 @dataclass
@@ -176,7 +175,7 @@ def mlp_forward(mlp: Mlp, x: Array) -> tuple[Array, ForwardCache]:
             np.tanh(z, out=z)
         activations.append(z)
     y = activations[-1][0] if squeeze else activations[-1]
-    mlp._cache = ForwardCache(activations, squeeze)
+    mlp._cache = ForwardCache(activations)
     return y.copy(), mlp._cache
 
 

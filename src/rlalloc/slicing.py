@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlalloc.exceptions import ConfigError, _vector, is_real
+from rlalloc.exceptions import ConfigError, _vector, config_dict, is_real
 from rlalloc.traffic import ServiceProfile, SliceTraffic
 
 Array = np.ndarray
@@ -144,26 +144,7 @@ class SliceConfig:
                 latest = change_step
         return self.demands if latest is None else self.demand_changes[latest]
 
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "total_bandwidth": self.total_bandwidth,
-            "k_min": self.k_min.tolist(),
-            "k_max": self.k_max.tolist(),
-            "ideal_scores": self.ideal_scores.tolist(),
-            "mode": self.mode,
-            "step_duration": self.step_duration,
-        }
-        if self.demands is not None:
-            payload["demands"] = self.demands.tolist()
-        if self.demand_changes:
-            payload["demand_changes"] = {
-                str(step): vec.tolist() for step, vec in self.demand_changes.items()
-            }
-        if self.services is not None:
-            payload["services"] = [s.to_dict() for s in self.services]
-        if self.latency_weights is not None:
-            payload["latency_weights"] = self.latency_weights.tolist()
-        return payload
+    to_dict = config_dict
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SliceConfig":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged, is_count, is_real
+from rlalloc.exceptions import TrainingDiverged, check_learner, check_mode, hidden_tuples, is_real
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -30,8 +30,6 @@ from rlalloc.numerics import (
 from rlalloc.replay import Batch
 
 Array = np.ndarray
-
-ACTION_MODES = ("explore", "train", "eval")
 
 
 @dataclass
@@ -54,11 +52,7 @@ class Td3Hyperparams:
     critic_hidden: tuple[int, ...] = (256, 256)
 
     def __post_init__(self) -> None:
-        for name in ("actor_hidden", "critic_hidden"):
-            sizes = getattr(self, name)
-            if not isinstance(sizes, (list, tuple)):
-                raise ValueError(f"{name} must be a list of layer sizes, got {sizes!r}")
-            setattr(self, name, tuple(sizes))
+        hidden_tuples(self, "actor_hidden", "critic_hidden")
 
     def validate(self) -> None:
         # Written as "not (good)" so that NaN, which fails every comparison, fails too.
@@ -74,17 +68,7 @@ class Td3Hyperparams:
             raise ValueError(f"discount must lie in [0, 1], got {self.discount!r}")
         if not (is_real(self.soft_tau) and 0 < self.soft_tau <= 1):
             raise ValueError(f"soft_tau must lie in (0, 1], got {self.soft_tau!r}")
-        for name, minimum in (("policy_delay", 1), ("batch_size", 1), ("buffer_capacity", 1),
-                              ("exploration_steps", 0), ("total_steps", 0)):
-            value = getattr(self, name)
-            if not is_count(value, minimum):
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.buffer_capacity < self.batch_size:
-            raise ValueError("need buffer_capacity >= batch_size")
-        if self.exploration_steps > self.total_steps:
-            raise ValueError("need exploration_steps <= total_steps")
-        if not all(is_count(h, 1) for h in self.actor_hidden + self.critic_hidden):
-            raise ValueError("hidden layer sizes must be positive integers")
+        check_learner(self, "policy_delay", "actor_hidden", "critic_hidden")
 
 
 class Td3Agent:
@@ -122,16 +106,11 @@ class Td3Agent:
         self, state: Array, mode: str, rng: np.random.Generator | None = None
     ) -> Array:
         """Pick an action: uniform (explore), noisy policy (train), or policy (eval)."""
-        if mode not in ACTION_MODES:
-            raise ValueError(f"mode must be one of {ACTION_MODES}, got {mode!r}")
+        check_mode(mode, rng)
         if mode == "explore":
-            if rng is None:
-                raise ValueError("explore mode needs an rng")
             return rng.uniform(-1.0, 1.0, size=self.action_dim)
         action, _ = mlp_forward(self.actor, np.asarray(state, dtype=float))
         if mode == "train":
-            if rng is None:
-                raise ValueError("train mode needs an rng")
             action = action + rng.normal(0.0, self.hp.exploration_sigma, size=self.action_dim)
         return np.clip(action, -1.0, 1.0)
 

@@ -527,3 +527,74 @@ def test_entry_point_is_installed(tmp_path):
     installed = importlib.metadata.entry_points(group="console_scripts")
     assert "rlalloc" in installed.names
     assert installed["rlalloc"].value == "rlalloc.cli:main"
+
+
+# 11 servers, each overflowing into the core or any of its 10 neighbors: 11**11 joint actions.
+OVERSIZE_MEC = {
+    "topology": {
+        "capacities": [1000.0] * 11,
+        "neighbors": [[j for j in range(11) if j != i] for i in range(11)],
+        "link_rate": 150.0,
+        "core_rate": 150.0,
+        "tau": 0.1,
+        "cycles_per_bit": 10.0,
+    },
+    "arrivals": {"kind": "fixed", "sizes": [30.0] * 11},
+}
+
+
+@pytest.mark.parametrize(
+    "command, policy", [("run", "dqn"), ("run", "optimal"), ("oracle", "optimal")]
+)
+def test_oversize_joint_action_space_exits_2_before_writing(command, policy, tmp_path, capsys):
+    config = write_config(tmp_path, "big.json", {"scenario": "mec", "policy": policy,
+                                                 "env": OVERSIZE_MEC, "total_steps": 3})
+    out = tmp_path / "m.jsonl"
+    argv = [command, "--config", str(config)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: joint action space has 285311670611 entries (> 1000000); this instance "
+        "is too large to enumerate — reduce servers or neighbors\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+def test_oversize_joint_action_space_still_runs_random_routing(tmp_path, capsys):
+    config = write_config(tmp_path, "big.json", {"scenario": "mec", "policy": "rra",
+                                                 "env": OVERSIZE_MEC, "total_steps": 3})
+    out = tmp_path / "m.jsonl"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert len(load_metrics(out)) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compare", "slicing.jsonl", "mixed.jsonl"], "mixed.jsonl, record 21: not a slicing record"),
+        (["plot", "--kind", "allocation", "mixed.jsonl"], "mixed.jsonl, record 21"),
+        (["plot", "--kind", "scores", "mixed.jsonl"], "mixed.jsonl, record 21"),
+        (["plot", "--kind", "latency", "mixed-mec.jsonl"], "mixed-mec.jsonl, record 21: not a mec"),
+        (["plot", "--kind", "epsilon-sweep", "mec.jsonl", "mixed-mec.jsonl"], "mixed-mec.jsonl"),
+    ],
+    ids=["compare", "allocation", "scores", "latency", "epsilon-sweep"],
+)
+def test_later_record_without_its_keys_exits_2(argv, named, metrics_dir, capsys):
+    for name, other, extra in [("slicing", "mixed", '{"slot": 4, "L_max": 0.2}\n'),
+                               ("mec", "mixed-mec", '{"step": 4, "U": 0.2}\n')]:
+        text = (metrics_dir / f"{name}.jsonl").read_text()
+        (metrics_dir / f"{other}.jsonl").write_text(text + extra)
+    assert cli.main(argv + ["--out", "plots/x.csv"] if argv[0] == "plot" else argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: metrics file ") and named in err
+    assert err.count("\n") == 1
+    assert list(metrics_dir.rglob("*.csv")) == [] and not (metrics_dir / "plots").exists()
+
+
+def test_plot_out_creates_its_directory(metrics_dir, capsys):
+    assert cli.main(["plot", "--kind", "scores", "slicing.jsonl", "--out", "nodir/deep/x.csv"]) == 0
+    rows = list(csv.reader(open("nodir/deep/x.csv")))
+    assert rows[0] == ["step", "c_1", "c_2", "c_3", "U"] and len(rows) == 21
+    assert cli.main(["plot", "--kind", "latency", "slicing.jsonl", "--out", "other/x.csv"]) == 2
+    assert not (metrics_dir / "other").exists()
+    capsys.readouterr()
