@@ -22,6 +22,7 @@ from rlalloc.numerics import (
     mlp_forward,
     mlp_gradients,
     mlp_init,
+    mlp_predict,
     soft_update,
 )
 from rlalloc.replay import Batch
@@ -83,8 +84,7 @@ class DqnAgent:
         self.opt = adam_init(self.online, hp.learning_rate)
 
     def q_values(self, state: Array) -> Array:
-        q, _ = mlp_forward(self.online, np.asarray(state, dtype=float))
-        return q
+        return mlp_predict(self.online, np.asarray(state, dtype=float))
 
     def select_action(
         self, state: Array, mode: str, rng: np.random.Generator | None = None
@@ -100,7 +100,7 @@ class DqnAgent:
     def train_step(self, batch: Batch) -> float:
         """One gradient step on the squared Bellman error; returns the loss."""
         n = len(batch)
-        q_next, _ = mlp_forward(self.target, batch.next_states)
+        q_next = mlp_predict(self.target, batch.next_states)
         y = batch.rewards + self.hp.discount * q_next.min(axis=1)
         q_all, cache = mlp_forward(self.online, batch.states)
         taken = batch.actions.astype(int)

@@ -56,6 +56,8 @@ from rlalloc.td3 import Td3Agent, Td3Hyperparams
 SLICING_POLICIES = ("td3", "sra", "optimal")
 MEC_POLICIES = ("dqn", "rra", "optimal")
 SIZE_CEILING = 10**8  # floats in one network's parameters, or in one replay buffer
+# traffic.ARRIVALS_CEILING bounds a chat slice's mean arrivals at 10**6 packets a step: one step's
+# Poisson draw (standard deviation 10**3) stays about 100x below SIZE_CEILING floats.
 
 ENV_PRESETS: dict[str, Callable[[], SliceConfig | MecConfig]] = {
     "slicing-analytic": slicing_mod.default_analytic_config,

@@ -18,12 +18,12 @@ the largest overflow wins, ties break toward the lowest source index. Rejected
 requests fall back to the core. The system metric is ``L(t) = max_i L_i``.
 
 One slot table, built once per slot, is the only code that applies this
-rule: each server's overflow, its local or core latency, and the latency of
-every offload a target could accept. ``evaluate_action`` resolves a joint
-choice against it. Baselines: ``brute_force_optimal`` scores every valid joint
-action from the same table, so that an action costs a max rather than an
-``evaluate_action``; ``random_routing`` picks uniformly among each server's
-valid choices.
+rule: each server's overflow, its local or core latency, and the offloads a
+target could accept; an offload's latency is computed where it is read.
+``evaluate_action`` resolves a joint choice against it. Baselines:
+``brute_force_optimal`` scores every valid joint action from the same table,
+so that an action costs a max rather than an ``evaluate_action``;
+``random_routing`` picks uniformly among each server's valid choices.
 """
 
 from __future__ import annotations
@@ -300,13 +300,13 @@ class SlotOutcome:
         return float(self.latencies.max())
 
 
-def _slot_table(topology: EdgeTopology, arrival_sizes: Array) -> tuple[list, list, dict]:
+def _slot_table(topology: EdgeTopology, arrival_sizes: Array) -> tuple[list, list, set]:
     """The offload rule for one slot's arrivals, applied once.
 
     Returns each server's overflow; its latency with that overflow, if any,
-    sent to the core; and the latency of every ``(source, target)`` offload
-    the target could accept: the target has no overflow of its own and can
-    finish the source's overflow inside the slot.
+    sent to the core; and every ``(source, target)`` offload the target could
+    accept: the target has no overflow of its own and can finish the source's
+    overflow inside the slot.
     """
     n = topology.num_servers
     sizes = np.asarray(arrival_sizes, dtype=float)
@@ -320,17 +320,21 @@ def _slot_table(topology: EdgeTopology, arrival_sizes: Array) -> tuple[list, lis
         latency_local(s, c, cpb) if o == 0.0 else latency_core(o, tau, topology.core_rate)
         for o, s, c in zip(over, size, cap)
     ]
-    offload = {
-        (i, j): latency_offload(over[i], tau, topology.link_rates[i, j], cap[j], cpb)
-        for i in range(n) if over[i] > 0.0 for j in topology.neighbors[i]
+    acceptable = {
+        (i, j) for i in range(n) if over[i] > 0.0 for j in topology.neighbors[i]
         if over[j] == 0.0 and cpb * over[i] <= tau * cap[j] - cpb * size[j] + 1e-12
     }
-    return over, base, offload
+    return over, base, acceptable
+
+
+def _offload_latency(topology: EdgeTopology, over: list, i: int, j: int) -> float:
+    cap, cpb = float(topology.capacities[j]), topology.cycles_per_bit
+    return latency_offload(over[i], topology.tau, topology.link_rates[i, j], cap, cpb)
 
 
 def _resolve(topology: EdgeTopology, table: tuple, choices) -> SlotOutcome:
     """Validity, contention and latencies of ``choices`` against one slot's table."""
-    over, base, offload = table
+    over, base, acceptable = table
     if len(choices) != len(over):
         raise ValueError(f"need one choice per server ({len(over)}), got {len(choices)}")
     requested: list[int] = []
@@ -342,11 +346,12 @@ def _resolve(topology: EdgeTopology, table: tuple, choices) -> SlotOutcome:
     # A target accepts one acceptable request: the largest overflow, ties to the lowest source.
     accepted: dict[int, int] = {}
     for i, c in enumerate(requested):
-        if (i, c) in offload and (c not in accepted or over[i] > over[accepted[c]]):
+        if (i, c) in acceptable and (c not in accepted or over[i] > over[accepted[c]]):
             accepted[c] = i
     effective = [CORE if c >= 0 and accepted.get(c) != i else c for i, c in enumerate(requested)]
     return SlotOutcome(
-        latencies=np.array([offload.get((i, c), base[i]) for i, c in enumerate(effective)]),
+        latencies=np.array([_offload_latency(topology, over, i, c) if c >= 0 else base[i]
+                            for i, c in enumerate(effective)]),
         effective=tuple(effective),
         requested=tuple(requested),
         accepted=accepted,
@@ -397,14 +402,15 @@ def brute_force_optimal(
     """Exhaustive search for the joint choice minimizing the worst latency.
 
     Every joint action is scored from the slot table: a request the table
-    holds reads its offload latency, any other server its local or core
-    latency. Ties go to the lexicographically first action, so an action in
-    which contention rejects a request is skipped: with that request sent to
-    the core it is an earlier action with the same latencies. The chosen
-    action is resolved against the same table.
+    holds reads its offload latency, computed once per pair, any other
+    server its local or core latency. Ties go to the lexicographically first
+    action, so an action in which contention rejects a request is skipped:
+    with that request sent to the core it is an earlier action with the same
+    latencies. The chosen action is resolved against the same table.
     """
     table = _slot_table(topology, arrival_sizes)
-    over, base, offload = table
+    over, base, acceptable = table
+    offload = {(i, j): _offload_latency(topology, over, i, j) for i, j in acceptable}
     sources = [i for i, o in enumerate(over) if o > 0.0]
     local = [base[i] for i, o in enumerate(over) if o == 0.0]
 

@@ -13,10 +13,13 @@ operations, applied in a fixed order, so results are bit-for-bit reproducible.
 Training allocates no large array once warm (and nothing here is thread-safe).
 Each ``Mlp`` owns one activation buffer per layer, grown to the largest batch
 seen; a ``ForwardCache`` views them, so it is valid until that network's next
-``mlp_forward`` (``mlp_gradients`` raises ``ValueError`` on a stale one), and
-callers get a copy of the output. Parameter gradients, backprop's deltas and
-the work of ``adam_step``/``soft_update`` use three vectors shared by all
-networks, so a ``Gradients`` is valid until the next ``mlp_gradients`` call.
+``mlp_forward`` (``mlp_gradients`` raises ``ValueError`` on a stale one).
+``mlp_predict`` runs the same layers and keeps no cache; callers get copies of
+outputs. All networks share three vectors, so memory does not grow with their
+count: [0] holds ``mlp_gradients``' result, valid until its next call; [1] and
+[2] are scratch for backprop's deltas, ``mlp_predict``'s layers and the
+``BLOCK``-element slices that ``adam_step``/``soft_update`` walk, so that the
+scratch does not grow with the parameter count either.
 """
 
 from __future__ import annotations
@@ -156,6 +159,20 @@ def _as_batch(x: Array, dim: int, what: str) -> tuple[Array, bool]:
     return arr, squeeze
 
 
+def _layers(mlp: Mlp, a: Array, out) -> list[Array]:
+    """Every layer's activation on batch ``a``; layer ``l`` writes into ``out(l, n)``."""
+    activations, n, last = [a], a.shape[0], mlp.n_layers - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = np.matmul(activations[-1], w.T, out=out(l, n))
+        z += b
+        if l < last:
+            np.maximum(z, 0.0, out=z)
+        elif mlp.output_activation == "tanh":
+            np.tanh(z, out=z)
+        activations.append(z)
+    return activations
+
+
 def mlp_forward(mlp: Mlp, x: Array) -> tuple[Array, ForwardCache]:
     """Evaluate the network on ``x`` (a vector or a batch of rows).
 
@@ -163,20 +180,19 @@ def mlp_forward(mlp: Mlp, x: Array) -> tuple[Array, ForwardCache]:
     cache of per-layer activations for :func:`mlp_gradients`.
     """
     a, squeeze = _as_batch(x, mlp.in_dim, "input")
-    activations, n, last = [a], a.shape[0], mlp.n_layers - 1
-    if not mlp._acts or mlp._acts[0].shape[0] < n:
-        mlp._acts = [np.empty((n, size)) for size in mlp.layer_sizes[1:]]
-    for l, (w, b, buf) in enumerate(zip(mlp.weights, mlp.biases, mlp._acts)):
-        z = np.matmul(activations[-1], w.T, out=buf[:n])
-        z += b
-        if l < last:
-            np.maximum(z, 0.0, out=z)
-        elif mlp.output_activation == "tanh":
-            np.tanh(z, out=z)
-        activations.append(z)
+    if not mlp._acts or mlp._acts[0].shape[0] < a.shape[0]:
+        mlp._acts = [np.empty((a.shape[0], size)) for size in mlp.layer_sizes[1:]]
+    activations = _layers(mlp, a, lambda l, n: mlp._acts[l][:n])
     y = activations[-1][0] if squeeze else activations[-1]
     mlp._cache = ForwardCache(activations)
     return y.copy(), mlp._cache
+
+
+def mlp_predict(mlp: Mlp, x: Array) -> Array:
+    """:func:`mlp_forward`'s output alone; the network's buffers and cache are left as they were."""
+    a, squeeze = _as_batch(x, mlp.in_dim, "input")
+    y = _layers(mlp, a, lambda l, n: _work(l, n, mlp.layer_sizes[l + 1]))[-1]
+    return (y[0] if squeeze else y).copy()
 
 
 def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grads):
@@ -237,9 +253,8 @@ def adam_init(mlp: Mlp, learning_rate: float) -> AdamState:
     return AdamState(learning_rate, np.zeros_like(mlp.flat), np.zeros_like(mlp.flat))
 
 
-# Shared by all networks, so resident memory does not grow with the network count:
-# [0] holds mlp_gradients' result, [1] and [2] are scratch for everything else.
-_vectors = [np.empty(0)] * 3
+_vectors = [np.empty(0)] * 3  # shared by all networks; see the module docstring
+BLOCK = 16384  # elements per adam_step/soft_update pass: one batch-64 x 256 activation
 
 
 def _shared(i: int, n: int) -> Array:
@@ -248,7 +263,7 @@ def _shared(i: int, n: int) -> Array:
     return _vectors[i][:n]
 
 
-def _work(l: int, n: int, width: int) -> Array:  # layer l's delta, apart from l+1's
+def _work(l: int, n: int, width: int) -> Array:  # layer l's delta or output, apart from l+1's
     return _shared(1 + l % 2, n * width).reshape(n, width)
 
 
@@ -261,26 +276,28 @@ def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
         raise ValueError("non-finite gradient passed to adam_step")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    s1, s2 = _shared(1, p.size), _shared(2, p.size)
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=s1)
-    m += s1
-    v *= b2
-    np.square(g, out=s1)
-    s1 *= 1.0 - b2
-    v += s1
-    correction = 1.0 - b1**t
-    if correction == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, so skip that pass
-        np.multiply(m, state.learning_rate, out=s1)
-    else:
-        np.divide(m, correction, out=s1)
-        s1 *= state.learning_rate
-    np.divide(v, 1.0 - b2**t, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += state.epsilon
-    s1 /= s2
-    p -= s1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    correction1, correction2 = 1.0 - b1**t, 1.0 - b2**t
+    for lo in range(0, p.size, BLOCK):
+        gb, pb, mb, vb = (a[lo : lo + BLOCK] for a in (g, p, m, v))
+        s1, s2 = _shared(1, gb.size), _shared(2, gb.size)
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=s1)
+        mb += s1
+        vb *= b2
+        np.square(gb, out=s1)
+        s1 *= 1.0 - b2
+        vb += s1
+        if correction1 == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, so skip that pass
+            np.multiply(mb, lr, out=s1)
+        else:
+            np.divide(mb, correction1, out=s1)
+            s1 *= lr
+        np.divide(vb, correction2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        pb -= s1
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
@@ -294,8 +311,9 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
         raise ValueError(
             f"shape mismatch: target {target.layer_sizes} vs online {online.layer_sizes}"
         )
-    s = _shared(1, online.flat.size)
-    np.multiply(online.flat, tau, out=s)
-    target.flat *= 1.0 - tau
-    target.flat += s
+    for lo in range(0, online.flat.size, BLOCK):
+        tb, ob = target.flat[lo : lo + BLOCK], online.flat[lo : lo + BLOCK]
+        s = np.multiply(ob, tau, out=_shared(1, ob.size))
+        tb *= 1.0 - tau
+        tb += s
 

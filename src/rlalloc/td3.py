@@ -25,6 +25,7 @@ from rlalloc.numerics import (
     mlp_gradients,
     mlp_init,
     mlp_input_gradient,
+    mlp_predict,
     soft_update,
 )
 from rlalloc.replay import Batch
@@ -109,7 +110,7 @@ class Td3Agent:
         check_mode(mode, rng)
         if mode == "explore":
             return rng.uniform(-1.0, 1.0, size=self.action_dim)
-        action, _ = mlp_forward(self.actor, np.asarray(state, dtype=float))
+        action = mlp_predict(self.actor, np.asarray(state, dtype=float))
         if mode == "train":
             action = action + rng.normal(0.0, self.hp.exploration_sigma, size=self.action_dim)
         return np.clip(action, -1.0, 1.0)
@@ -135,11 +136,11 @@ class Td3Agent:
             -hp.smoothing_clip,
             hp.smoothing_clip,
         )
-        next_actions, _ = mlp_forward(self.actor_target, next_states)
+        next_actions = mlp_predict(self.actor_target, next_states)
         next_actions = np.clip(next_actions + noise, -1.0, 1.0)
         target_in = self._critic_input(next_states, next_actions)
-        q1_t, _ = mlp_forward(self.critic1_target, target_in)
-        q2_t, _ = mlp_forward(self.critic2_target, target_in)
+        q1_t = mlp_predict(self.critic1_target, target_in)
+        q2_t = mlp_predict(self.critic2_target, target_in)
         y = rewards + hp.discount * np.minimum(q1_t, q2_t)
 
         critic_in = self._critic_input(states, actions)

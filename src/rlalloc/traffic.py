@@ -31,6 +31,7 @@ _KIND_FIELDS = {
     "chat": ("mean_arrivals", "size_min", "size_max"),
 }
 SERVICE_KINDS = tuple(_KIND_FIELDS)
+ARRIVALS_CEILING = 10**6  # a chat slice's mean packets per step; see harness.SIZE_CEILING
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,10 @@ class ServiceProfile:
                 raise ValueError(f"voice packet_size must be positive, got {self.packet_size!r}")
         else:
             mean, sizes = self.mean_arrivals, (self.size_min, self.size_max)
-            if not (is_real(mean) and 0 <= mean < math.inf):
-                raise ValueError(f"chat mean_arrivals must be non-negative, got {mean!r}")
+            if not (is_real(mean) and 0 <= mean <= ARRIVALS_CEILING):
+                raise ValueError(
+                    f"chat mean_arrivals must lie in [0, {ARRIVALS_CEILING}], got {mean!r}"
+                )
             if not (all(map(is_real, sizes)) and 0 < self.size_min <= self.size_max < math.inf):
                 raise ValueError(f"chat sizes need 0 < size_min <= size_max, got {sizes}")
 

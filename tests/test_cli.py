@@ -189,6 +189,8 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
                 ([VIDEO, {**VOICE, "packet_size": "abc"}, CHAT],
                  "packet_size must be positive, got 'abc'"),
                 ([VIDEO, VOICE, {**CHAT, "size_max": "abc"}], "size_max, got (0.05, 'abc')"),
+                ([VIDEO, VOICE, {**CHAT, "mean_arrivals": 1e300}],
+                 "mean_arrivals must lie in [0, 1000000], got 1e+300"),
             )
         ),
         ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, step_duration="abc")},
@@ -251,9 +253,10 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "td3-buffer-fraction", "td3-delay-fraction", "demand-changes-step-abc", "k-min-abc",
          "demands-object", "dqn-lr-abc", "td3-soft-tau-abc", "tau-abc", "core-rate-abc",
          "cycles-per-bit-abc", "total-bandwidth-abc", "total-bandwidth-true", "video-size-abc",
-         "voice-size-abc", "chat-size-abc", "step-duration-abc", "capacities-abc",
-         "link-rates-abc", "shorthand-capacities-abc", "shorthand-capacities-matrix",
-         "shorthand-neighbors-abc", "link-rate-abc", "sizes-abc", "low-abc", "high-matrix",
+         "voice-size-abc", "chat-size-abc", "chat-arrivals-huge", "step-duration-abc",
+         "capacities-abc", "link-rates-abc", "shorthand-capacities-abc",
+         "shorthand-capacities-matrix", "shorthand-neighbors-abc", "link-rate-abc", "sizes-abc",
+         "low-abc", "high-matrix",
          "services-string", "services-ints", "arrivals-int", "topology-list",
          "td3-critic-hidden-huge", "td3-actor-hidden-huge", "td3-buffer-huge",
          "dqn-hidden-huge", "dqn-buffer-huge", "service-without-kind", "mec-without-topology",

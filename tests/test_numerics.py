@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rlalloc.numerics import (
+    BLOCK,
     OUTPUT_ACTIVATIONS,
+    Gradients,
     Mlp,
     adam_init,
     adam_step,
@@ -12,6 +14,7 @@ from rlalloc.numerics import (
     mlp_gradients,
     mlp_init,
     mlp_input_gradient,
+    mlp_predict,
     soft_update,
 )
 
@@ -437,3 +440,74 @@ def test_copy_shares_no_buffer_with_its_source():
     assert not np.shares_memory(clone.flat, mlp.flat)
     # The clone's forward left the source's cache current.
     mlp_gradients(mlp, cache, grad_output)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 7])
+def test_blocked_adam_and_soft_update_equal_the_whole_vector_formulas(n):
+    # A network with n parameters: one layer from n - 1 inputs to one output.
+    rng = np.random.default_rng(n)
+    lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+    mlp = Mlp((n - 1, 1), rng.normal(size=n))
+    state = adam_init(mlp, learning_rate=lr)
+    grads = Gradients(rng.normal(size=n), [], [])
+    g = grads.flat
+    exact = next(t for t in range(1, 10_000) if 1.0 - b1**t == 1.0)  # t = 356
+    for t in (1, exact - 1, exact, 5000):
+        state.step_count = t - 1
+        state.m[:] = rng.normal(size=n)
+        state.v[:] = rng.random(n)
+        m = state.m * b1 + g * (1.0 - b1)
+        v = state.v * b2 + (g * g) * (1.0 - b2)
+        p = mlp.flat - m / (1.0 - b1**t) * lr / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        adam_step(mlp, grads, state)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert np.array_equal(mlp.flat, p), t
+        assert state.step_count == t
+
+    target, tau = Mlp((n - 1, 1), rng.normal(size=n)), 0.005
+    expected = target.flat * (1.0 - tau) + mlp.flat * tau
+    soft_update(target, mlp, tau)
+    assert np.array_equal(target.flat, expected)
+
+
+def test_non_finite_gradient_in_the_last_block_changes_nothing():
+    n = 3 * BLOCK + 7
+    rng = np.random.default_rng(70)
+    mlp = Mlp((n - 1, 1), rng.normal(size=n))
+    state = adam_init(mlp, learning_rate=0.01)
+    state.m[:], state.v[:], state.step_count = rng.normal(size=n), rng.random(n), 4
+    grads = Gradients(rng.normal(size=n), [], [])
+    grads.flat[-1] = np.inf
+    before = mlp.flat.copy(), state.m.copy(), state.v.copy()
+    with pytest.raises(ValueError, match="non-finite"):
+        adam_step(mlp, grads, state)
+    assert all(np.array_equal(a, b) for a, b in zip(before, (mlp.flat, state.m, state.v)))
+    assert state.step_count == 4
+
+
+@pytest.mark.parametrize("sizes, activation", [((9, 256, 256, 256, 3), "tanh"),
+                                               ((12, 256, 256, 1), "linear")])
+def test_predict_equals_forward_bit_for_bit(sizes, activation):
+    rng = np.random.default_rng(71)
+    mlp = mlp_init(sizes, activation, rng=rng)
+    mlp.flat[:] += rng.normal(scale=0.01, size=mlp.flat.size)  # non-zero biases
+    for x in (rng.normal(size=(64, sizes[0])), rng.normal(size=(1, sizes[0])),
+              rng.normal(size=sizes[0])):
+        y, _ = mlp_forward(mlp, x)
+        predicted = mlp_predict(mlp, x)
+        assert predicted.shape == y.shape and np.array_equal(predicted, y)
+
+
+def test_predict_leaves_the_forward_cache_valid():
+    rng = np.random.default_rng(72)
+    mlp = mlp_init((6, 32, 32, 2), "tanh", rng=rng)
+    x, grad_output = rng.normal(size=(64, 6)), rng.normal(size=(64, 2))
+    _, cache = mlp_forward(mlp, x)
+    expected = mlp_gradients(mlp, cache, grad_output).flat.copy()
+    expected_input = mlp_input_gradient(mlp, cache, grad_output)
+
+    _, cache = mlp_forward(mlp, x)
+    mlp_predict(mlp, rng.normal(size=(64, 6)))
+    mlp_predict(mlp, rng.normal(size=6))
+    assert np.array_equal(mlp_gradients(mlp, cache, grad_output).flat, expected)
+    assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output), expected_input)

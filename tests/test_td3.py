@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rlalloc import numerics
 from rlalloc.exceptions import TrainingDiverged
-from rlalloc.numerics import mlp_forward
+from rlalloc.numerics import BLOCK, mlp_forward
 from rlalloc.replay import Batch
 from rlalloc.td3 import Td3Agent, Td3Hyperparams
 
@@ -259,3 +260,20 @@ def test_warm_train_steps_allocate_no_large_arrays():
     finally:
         tracemalloc.stop()
     assert peak - start < 512 * 1024, f"train steps peaked {peak - start} bytes above the start"
+
+
+def test_targets_and_acting_keep_no_activation_buffers(monkeypatch):
+    # Default networks, batch 64: target forwards and acting run through the shared scratch,
+    # and Adam and the soft update walk the parameters BLOCK elements at a time.
+    monkeypatch.setattr(numerics, "_vectors", [np.empty(0)] * 3)
+    agent = Td3Agent(9, 3, rng=0)
+    batch = make_batch(np.random.default_rng(18), agent.hp.batch_size, 9, 3)
+    agent.select_action(np.zeros(9), "eval")
+    for _ in range(2):
+        agent.train_step(batch)
+    assert agent.train_calls == agent.hp.policy_delay  # the actor and the targets were updated
+    for target in (agent.actor_target, agent.critic1_target, agent.critic2_target):
+        assert target._acts == []
+    widest = max(agent.hp.actor_hidden + agent.hp.critic_hidden)
+    bound = max(BLOCK, agent.hp.batch_size * widest)
+    assert numerics._vectors[1].size <= bound and numerics._vectors[2].size <= bound
