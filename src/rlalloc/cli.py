@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for configuration problems (including bad
-arguments), 3 when a training loss goes non-finite and the run aborts.
+arguments), 3 when a training loss goes non-finite and the run aborts, 130 on
+Ctrl-C.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

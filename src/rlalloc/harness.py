@@ -28,6 +28,10 @@ Metrics are one JSON object per line, built from plain JSON values. The first
   loss``; DQN adds ``action_index, epsilon``, and eval slots add ``L_rra,
   L_opt``: random routing and the brute-force optimum on the same arrivals.
 
+A run is one object (``_Slicing`` or ``_Mec``) holding its whole state; building it runs
+every check that can reject the config, and each ``step()`` returns one record. Only
+``run_experiment`` creates, removes, opens or renames the metrics file.
+
 The master seed is split into independent streams (environment, agent init,
 action noise, replay sampling, baseline) via ``SeedSequence.spawn``, so a
 longer run reproduces a shorter run's records as a byte-identical prefix.
@@ -58,6 +62,7 @@ MEC_POLICIES = ("dqn", "rra", "optimal")
 SIZE_CEILING = 10**8  # floats in one network's parameters, or in one replay buffer
 # traffic.ARRIVALS_CEILING bounds a chat slice's mean arrivals at 10**6 packets a step: one step's
 # Poisson draw (standard deviation 10**3) stays about 100x below SIZE_CEILING floats.
+BACKLOG_CEILING = 10**7  # chat packets one emulated run may queue, about 115 B each (1.15 GB)
 
 ENV_PRESETS: dict[str, Callable[[], SliceConfig | MecConfig]] = {
     "slicing-analytic": slicing_mod.default_analytic_config,
@@ -198,26 +203,61 @@ def _seed_streams(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-class _Slicing:
+class _Run:
+    """One run's whole state: seed streams, hyperparameters, env, agent, replay buffer and ``t``.
+
+    The constructor builds all that can reject the config and touches no file; ``step()`` runs
+    the next ``t`` and returns its record. Subclasses add ``_build``, ``_outcome``, ``after_train``.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.streams = _seed_streams(config.seed)
+        self.hp = _hyperparams(config)
+        self.steps = self.hp.total_steps + config.eval_slots
+        self.policy = config.policy
+        self.agent = None
+        self._build(config)
+        self.obs = self.env.reset()
+        self.t = 0
+
+    def step(self) -> dict:
+        hp, agent, obs, streams = self.hp, self.agent, self.obs, self.streams
+        self.t = t = self.t + 1
+        mode = "eval" if t > hp.total_steps else "explore" if t <= hp.exploration_steps else "train"
+        action = None if agent is None else agent.select_action(obs, mode, streams["action"])
+        reward, self.obs, record = self._outcome(t, obs, mode, action)
+        if agent is not None and mode != "eval":
+            self.buffer.push(Transition(obs, action, reward, self.obs))
+            trained = None
+            if len(self.buffer) >= hp.batch_size:
+                trained = agent.train_step(self.buffer.sample(hp.batch_size, streams["sample"]))
+            self.after_train(t, record, trained)
+        return record
+
+
+class _Slicing(_Run):
     """TD3's action goes through ``map_action``; SRA and water-filling set ``k`` directly."""
 
-    def __init__(self, config: ExperimentConfig, hp: Td3Hyperparams, streams: dict) -> None:
+    def _build(self, config: ExperimentConfig) -> None:
+        hp = self.hp
         self.cfg: SliceConfig = config.env  # type: ignore[assignment]
-        self.policy = config.policy
-        env = self.env = SlicingEnv(self.cfg, rng=streams["env"])
-        self.action_dim = env.num_slices
-        self.agent = None
+        for p in self.cfg.services if self.cfg.mode == "emulated" else ():
+            if p.kind == "chat" and p.mean_arrivals * self.steps > BACKLOG_CEILING:
+                raise ConfigError(f"chat mean_arrivals {p.mean_arrivals!r} over {self.steps} steps "
+                                  f"may queue above the ceiling of {BACKLOG_CEILING} packets")
+        env = self.env = SlicingEnv(self.cfg, rng=self.streams["env"])
         if config.policy == "td3":
             s, a = env.observation_dim, env.num_slices
             _check_sizes(hp, s, a, {"actor_hidden": (s, *hp.actor_hidden, a),
                                     "critic_hidden": (s + a, *hp.critic_hidden, 1)})
-            self.agent = Td3Agent(s, a, hp, rng=streams["init"])
+            self.agent = Td3Agent(s, a, hp, rng=self.streams["init"])
+            self.buffer = ReplayBuffer(hp.buffer_capacity, s, a)
         elif config.policy == "optimal" and self.cfg.mode != "analytic":
             raise ConfigError("the water-filling policy needs analytic demands")
         self.sra = slicing_mod.sra(self.cfg) if config.policy == "sra" else None
         self._regime: tuple = (None, None)  # last (demands, water-fill k): demands rarely change
 
-    def step(self, t: int, obs: np.ndarray, mode: str, action: np.ndarray | None) -> tuple:
+    def _outcome(self, t: int, obs: np.ndarray, mode: str, action: np.ndarray | None) -> tuple:
         cfg = self.cfg
         if action is None:
             k = self.sra
@@ -258,25 +298,23 @@ class _Slicing:
             record["critic_loss"], record["actor_loss"] = losses
 
 
-class _Mec:
+class _Mec(_Run):
     """DQN's action indexes the action catalog; RRA and brute force route directly."""
 
-    def __init__(self, config: ExperimentConfig, hp: DqnHyperparams, streams: dict) -> None:
+    def _build(self, config: ExperimentConfig) -> None:
+        hp = self.hp
         env_cfg: MecConfig = config.env  # type: ignore[assignment]
-        self.policy = config.policy
-        self.hp = hp
-        env = self.env = MecEnv(env_cfg, rng=streams["env"])
-        self.action_dim = None  # a scalar action index
-        self.agent = None
+        env = self.env = MecEnv(env_cfg, rng=self.streams["env"])
         if config.policy != "rra":  # brute force (optimal, DQN's eval) searches within it
             self.catalog = mec_mod.action_catalog(env_cfg)
         if config.policy == "dqn":
             s = env.observation_dim
             _check_sizes(hp, s, 1, {"hidden": (s, *hp.hidden, len(self.catalog))})
-            self.agent = DqnAgent(s, len(self.catalog), hp, rng=streams["init"])
-        self.baseline_rng = streams["baseline"]
+            self.agent = DqnAgent(s, len(self.catalog), hp, rng=self.streams["init"])
+            self.buffer = ReplayBuffer(hp.buffer_capacity, s)
+        self.baseline_rng = self.streams["baseline"]
 
-    def step(self, t: int, obs: np.ndarray, mode: str, action: int | None) -> tuple:
+    def _outcome(self, t: int, obs: np.ndarray, mode: str, action: int | None) -> tuple:
         topology, arrivals = self.env.topology, self.env.current_arrivals
         if action is not None:
             choices = self.catalog[action]
@@ -317,50 +355,25 @@ class _Mec:
 _SCENARIOS = {"slicing": _Slicing, "mec": _Mec}
 
 
-def _run(config: ExperimentConfig, path: Path) -> None:
+def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> Path:
     """Train for ``total_steps``, then act greedily for ``eval_slots``; one record per step.
 
-    Everything that can reject the config is built before any file is touched.
-    Records go to ``<path>.partial``, renamed to ``path`` after the last one, so
-    a diverged or killed run leaves only the ``.partial`` file.
+    The run, with every check that can reject the config, is built before any file is
+    touched. Records go to ``<path>.partial``, renamed to the returned path after the last
+    one, so a diverged or killed run leaves only the ``.partial`` file.
     """
-    streams = _seed_streams(config.seed)
-    hp = _hyperparams(config)
-    scenario = _SCENARIOS[config.scenario](config, hp, streams)
-    agent, env = scenario.agent, scenario.env
-    if agent is not None:
-        buffer = ReplayBuffer(hp.buffer_capacity, env.observation_dim, scenario.action_dim)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.unlink(missing_ok=True)  # a stale file must not pass for this run's output
-    partial = path.with_name(path.name + ".partial")
-    with partial.open("w") as out:
-        obs = env.reset()
-        action = None
-        for t in range(1, hp.total_steps + config.eval_slots + 1):
-            mode = "explore" if t <= hp.exploration_steps else "train"
-            if t > hp.total_steps:
-                mode = "eval"
-            if agent is not None:
-                action = agent.select_action(obs, mode, streams["action"])
-            reward, next_obs, record = scenario.step(t, obs, mode, action)
-            if agent is not None and mode != "eval":
-                buffer.push(Transition(obs, action, reward, next_obs))
-                trained = None
-                if len(buffer) >= hp.batch_size:
-                    trained = agent.train_step(buffer.sample(hp.batch_size, streams["sample"]))
-                scenario.after_train(t, record, trained)
-            out.write(json.dumps(record) + "\n")
-            obs = next_obs
-    partial.replace(path)
-
-
-def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> Path:
-    """Execute one seeded run and write its metrics file; returns the path."""
     config.validate()
     if out_path is None:
         out_path = Path(f"metrics-{config.scenario}-{config.policy}-seed{config.seed}.jsonl")
     path = Path(out_path)
-    _run(config, path)
+    run = _SCENARIOS[config.scenario](config)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)  # a stale file must not pass for this run's output
+    partial = path.with_name(path.name + ".partial")
+    with partial.open("w") as out:
+        for _ in range(run.steps):
+            out.write(json.dumps(run.step()) + "\n")
+    partial.replace(path)
     return path
 
 

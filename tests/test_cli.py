@@ -13,7 +13,7 @@ import rlalloc.cli as cli
 from rlalloc.exceptions import TrainingDiverged
 from rlalloc.harness import load_metrics
 from rlalloc.mec import small_contention_config
-from rlalloc.slicing import default_analytic_config, default_emulated_config
+from rlalloc.slicing import SlicingEnv, default_analytic_config, default_emulated_config
 from rlalloc.td3 import Td3Agent
 
 
@@ -245,6 +245,11 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
              f"missing required key {key!r}")
             for key in ("topology", "arrivals")
         ),
+        # Just above the ceiling, eval slots included: were the check gone, the run would
+        # queue about 1.15 GB of chat packets, not the 9 GB of 8000 such steps.
+        ({"scenario": "slicing", "policy": "td3", "total_steps": 1000, "eval_slots": 1,
+          "env": dict(EMULATED_ENV, services=[VIDEO, VOICE, {**CHAT, "mean_arrivals": 1e4}])},
+         "chat mean_arrivals 10000.0 over 1001 steps may queue above the ceiling of 10000000"),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -260,7 +265,7 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "services-string", "services-ints", "arrivals-int", "topology-list",
          "td3-critic-hidden-huge", "td3-actor-hidden-huge", "td3-buffer-huge",
          "dqn-hidden-huge", "dqn-buffer-huge", "service-without-kind", "mec-without-topology",
-         "mec-without-arrivals"],
+         "mec-without-arrivals", "chat-backlog-huge"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)
@@ -270,6 +275,40 @@ def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, ca
     assert err.startswith("config error:") and named in err
     assert err.count("\n") == 1
     assert not out.parent.exists()
+
+
+def test_rejected_config_leaves_a_stale_out_untouched(tmp_path, capsys):
+    config = write_config(
+        tmp_path, "bad.json",
+        {"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+         "agent": {"critic_hidden": [10**12]}},
+    )
+    out = tmp_path / "m.jsonl"
+    out.write_text("stale\n")
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "agent.critic_hidden needs" in capsys.readouterr().err
+    assert out.read_text() == "stale\n"
+    assert not (tmp_path / "m.jsonl.partial").exists()
+
+
+def test_interrupted_run_exits_130_and_keeps_whole_lines(sra_config, tmp_path, monkeypatch,
+                                                         capsys):
+    step_allocation = SlicingEnv.step_allocation
+    calls = []
+
+    def interrupt_on_fifth_step(self, k):
+        calls.append(1)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return step_allocation(self, k)
+
+    monkeypatch.setattr(SlicingEnv, "step_allocation", interrupt_on_fifth_step)
+    out = tmp_path / "m.jsonl"
+    assert cli.main(["run", "--config", str(sra_config), "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
+    lines = (tmp_path / "m.jsonl.partial").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == [1, 2, 3, 4]
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys):

@@ -5,12 +5,17 @@ write must equal, byte for byte, its committed copy under ``demo-output/``.
 Any change to the numerics, the environments, the seeding or the metrics
 writer that alters a single output bit fails here. Tiny seeded runs through
 the branches the demos do not reach, and the oracle report, are pinned the
-same way by the sha256 of what they write.
+same way by the sha256 of what they write. Two default-size learner runs are
+repeated in child processes with BLAS on one and on two threads, and must write
+the bytes of the in-process run.
 """
 
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +215,32 @@ def test_oracle_report_digest(name):
     report = oracle_report(ExperimentConfig.from_dict(payload), slots=20)
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Default-size networks on batch-64 GEMMs: the bits must not depend on how many
+# threads BLAS runs them on.
+THREADED = {
+    "td3-slicing-analytic": {"scenario": "slicing", "policy": "td3", "seed": 3,
+                             "env": "slicing-analytic", "total_steps": 150, "eval_slots": 5},
+    "dqn-mec-seven": {"scenario": "mec", "policy": "dqn", "seed": 3, "env": "mec-seven",
+                      "total_steps": 300, "eval_slots": 5, "agent": {"exploration_steps": 100}},
+}
+CHILD = ("import json, sys; from rlalloc.harness import ExperimentConfig, run_experiment; "
+         "run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2])")
+
+
+@pytest.mark.parametrize("name", sorted(THREADED))
+def test_bits_do_not_depend_on_the_blas_thread_count(name, tmp_path):
+    payload = THREADED[name]
+    expected = run_experiment(ExperimentConfig.from_dict(payload), tmp_path / "in-process.jsonl")
+    digest = hashlib.sha256(expected.read_bytes()).hexdigest()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.jsonl"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(payload), str(out)],
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, f"{threads} thread(s)"

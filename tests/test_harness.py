@@ -398,6 +398,22 @@ def test_different_seeds_differ(tmp_path):
     assert p1.read_bytes() != p2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "cls,cfg_fn,policy",
+    [(harness_mod._Slicing, slicing_config, "td3"), (harness_mod._Mec, mec_config, "dqn")],
+)
+def test_run_object_steps_are_the_metrics_file_lines(cls, cfg_fn, policy, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = cfg_fn(policy, total_steps=25, eval_slots=5)
+    run = cls(cfg)
+    assert list(tmp_path.iterdir()) == []  # building a run touches no file
+    k = 27  # exploration, training, and two eval steps
+    records = [run.step() for _ in range(k)]
+    assert run.t == k and run.steps == 30
+    lines = run_experiment(cfg, tmp_path / "m.jsonl").read_text().splitlines()
+    assert [json.dumps(r) for r in records] == lines[:k]
+
+
 # ---------------------------------------------------------------------------
 # Post-processing
 
