@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from rlalloc.exceptions import ConfigError, TrainingDiverged
 from rlalloc.harness import (
     PLOT_KINDS,
@@ -65,7 +67,7 @@ def _run(args: argparse.Namespace) -> int:
     records, _, key = _read_metrics(path)
     tail = final_window([r[key] for r in records])
     print(f"wrote {len(records)} records to {path}")
-    print(f"final-window mean {key}: {sum(tail) / len(tail):.6f}")
+    print(f"final-window mean {key}: {float(np.mean(tail)):.6f}")
     return 0
 
 

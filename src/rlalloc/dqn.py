@@ -102,7 +102,7 @@ class DqnAgent:
         n = len(batch)
         q_next = mlp_predict(self.target, batch.next_states)
         y = batch.rewards + self.hp.discount * q_next.min(axis=1)
-        q_all, cache = mlp_forward(self.online, batch.states)
+        q_all = mlp_forward(self.online, batch.states)
         taken = batch.actions.astype(int)
         err = q_all[np.arange(n), taken] - y
         loss = float(np.mean(err**2))
@@ -110,7 +110,7 @@ class DqnAgent:
             raise TrainingDiverged(f"value loss is not finite: {loss}")
         grad_out = np.zeros_like(q_all)
         grad_out[np.arange(n), taken] = 2.0 * err / n
-        adam_step(self.online, mlp_gradients(self.online, cache, grad_out), self.opt)
+        adam_step(self.online, mlp_gradients(self.online, grad_out), self.opt)
         return loss
 
     def sync_target(self) -> None:

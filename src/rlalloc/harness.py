@@ -50,10 +50,10 @@ import numpy as np
 from rlalloc import mec as mec_mod
 from rlalloc import slicing as slicing_mod
 from rlalloc.dqn import DqnAgent, DqnHyperparams
-from rlalloc.exceptions import ConfigError, is_count
+from rlalloc.exceptions import ConfigError, is_count, is_real
 from rlalloc.mec import MecConfig, MecEnv
 from rlalloc.numerics import _flat_size
-from rlalloc.replay import ReplayBuffer, Transition
+from rlalloc.replay import ReplayBuffer
 from rlalloc.slicing import SliceConfig, SlicingEnv
 from rlalloc.td3 import Td3Agent, Td3Hyperparams
 
@@ -227,7 +227,7 @@ class _Run:
         action = None if agent is None else agent.select_action(obs, mode, streams["action"])
         reward, self.obs, record = self._outcome(t, obs, mode, action)
         if agent is not None and mode != "eval":
-            self.buffer.push(Transition(obs, action, reward, self.obs))
+            self.buffer.push(obs, action, reward, self.obs)
             trained = None
             if len(self.buffer) >= hp.batch_size:
                 trained = agent.train_step(self.buffer.sample(hp.batch_size, streams["sample"]))
@@ -399,13 +399,18 @@ def load_metrics(path: str | Path) -> list[dict]:
 # Scenario -> its objective key and the keys that compare, plot and the run summary read.
 _SCHEMAS = {"slicing": ("U", {"step", "k", "c", "U", "B"}),
             "mec": ("L_max", {"slot", "phase", "L_max"})}
+# Key -> a check that its value, where present, must pass, and what the check asks for.
+_number, _string = (is_real, "a number"), (lambda v: isinstance(v, str), "a string")
+_numbers = (lambda v: isinstance(v, list) and all(map(is_real, v)), "a list of numbers")
+_VALUES = {"step": _number, "slot": _number, "U": _number, "L_max": _number, "B": _number,
+           "k": _numbers, "c": _numbers, "phase": _string, "policy": _string}
 
 
 def _read_metrics(path: str | Path) -> tuple[list[dict], str | None, str | None]:
     """A metrics file's records, scenario and objective key (None and None if it is empty).
 
     The first record's ``step`` or ``slot`` key names the scenario, and every record must
-    hold that scenario's keys.
+    hold that scenario's keys, each value of the type in ``_VALUES``.
     """
     records = load_metrics(path)
     first = records[0] if records and isinstance(records[0], dict) else {}
@@ -416,6 +421,10 @@ def _read_metrics(path: str | Path) -> tuple[list[dict], str | None, str | None]
             if not (isinstance(record, dict) and keys <= record.keys()):
                 raise ConfigError(f"metrics file {path}, record {n}: not a {scenario} record "
                                   f"(needs keys {sorted(keys)})")
+            for key, (ok, kind) in _VALUES.items():
+                if key in record and not ok(record[key]):
+                    raise ConfigError(f"metrics file {path}, record {n}: {key!r} must be {kind}, "
+                                      f"got {record[key]!r}")
         return records, scenario, objective
     if records:
         raise ConfigError(f"metrics file {path} has an unknown schema (no 'step' or 'slot' key)")
@@ -484,6 +493,9 @@ def _write_plot(out: Path, kind: str, files: list[list[dict]], paths: list[str |
     """Build every row of a ``kind`` CSV, then write it: a record that fails leaves no CSV."""
     if kind == "epsilon-sweep":  # aligned train-slot L_max columns, one per file
         runs = [[r for r in records if r["phase"] == "train"] for records in files]
+        if len({len(run) for run in runs}) > 1:
+            counts = ", ".join(f"{path}: {len(run)}" for run, path in zip(runs, paths))
+            raise ConfigError(f"epsilon-sweep runs differ in length; train slots {counts}")
         labels = [f"eps_{run[0]['epsilon']}" if run and run[0].get("epsilon") is not None
                   else Path(path).stem for run, path in zip(runs, paths)]
         header = ["slot"] + [f"L_max_{label}" for label in labels]
@@ -541,12 +553,14 @@ def sweep_epsilon(
         raise ConfigError("the epsilon sweep applies to mec runs with the dqn policy")
     if not values:
         raise ConfigError("need at least one epsilon value")
+    configs = [replace(config, agent_overrides=dict(config.agent_overrides, epsilon=float(eps)))
+               for eps in values]
+    for run_cfg in configs:  # a bad value is rejected before the first run writes anything
+        _hyperparams(run_cfg)
     base_dir = Path(out_dir) if out_dir is not None else Path(".")
     base_dir.mkdir(parents=True, exist_ok=True)
     paths, files, summaries = [], [], []
-    for eps in values:
-        overrides = dict(config.agent_overrides, epsilon=float(eps))
-        run_cfg = replace(config, agent_overrides=overrides)
+    for eps, run_cfg in zip(values, configs):
         path = base_dir / f"metrics-mec-dqn-eps{eps}-seed{config.seed}.jsonl"
         run_experiment(run_cfg, path)
         records = load_metrics(path)

@@ -12,9 +12,10 @@ operations, applied in a fixed order, so results are bit-for-bit reproducible.
 
 Training allocates no large array once warm (and nothing here is thread-safe).
 Each ``Mlp`` owns one activation buffer per layer, grown to the largest batch
-seen; a ``ForwardCache`` views them, so it is valid until that network's next
-``mlp_forward`` (``mlp_gradients`` raises ``ValueError`` on a stale one).
-``mlp_predict`` runs the same layers and keeps no cache; callers get copies of
+seen, and keeps its latest ``mlp_forward``'s activations, input included;
+``mlp_gradients`` and ``mlp_input_gradient`` backpropagate that forward (they
+raise ``ValueError`` on a network that has had none). ``mlp_predict`` runs the
+same layers and leaves the network's buffers alone; callers get copies of
 outputs. All networks share three vectors, so memory does not grow with their
 count: [0] holds ``mlp_gradients``' result, valid until its next call; [1] and
 [2] are scratch for backprop's deltas, ``mlp_predict``'s layers and the
@@ -69,7 +70,7 @@ class Mlp:
         self.output_activation = output_activation
         self.weights, self.biases = _layer_views(flat, self.layer_sizes)
         self._acts: list[Array] = []  # activation buffers; see the module docstring
-        self._cache: ForwardCache | None = None  # the one mlp_gradients accepts
+        self._forward: list[Array] = []  # the latest mlp_forward's activations, input first
 
     @property
     def n_layers(self) -> int:
@@ -88,19 +89,6 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(self.layer_sizes, self.flat.copy(), self.output_activation)
-
-
-@dataclass
-class ForwardCache:
-    """Per-layer activations retained by :func:`mlp_forward` for backprop.
-
-    ``activations[0]`` is the network input; ``activations[l]`` for l >= 1 is
-    the post-nonlinearity output of layer l, a view into the network's own
-    buffer, valid until its next forward. All entries are 2-D (batch-major)
-    regardless of how the input was passed.
-    """
-
-    activations: list[Array]
 
 
 @dataclass
@@ -173,37 +161,36 @@ def _layers(mlp: Mlp, a: Array, out) -> list[Array]:
     return activations
 
 
-def mlp_forward(mlp: Mlp, x: Array) -> tuple[Array, ForwardCache]:
+def mlp_forward(mlp: Mlp, x: Array) -> Array:
     """Evaluate the network on ``x`` (a vector or a batch of rows).
 
-    Returns a copy of the output (matching the input's dimensionality) and a
-    cache of per-layer activations for :func:`mlp_gradients`.
+    Returns a copy of the output, matching the input's dimensionality. The network keeps
+    every layer's activation, 2-D and input first, for :func:`mlp_gradients`.
     """
     a, squeeze = _as_batch(x, mlp.in_dim, "input")
     if not mlp._acts or mlp._acts[0].shape[0] < a.shape[0]:
         mlp._acts = [np.empty((a.shape[0], size)) for size in mlp.layer_sizes[1:]]
-    activations = _layers(mlp, a, lambda l, n: mlp._acts[l][:n])
-    y = activations[-1][0] if squeeze else activations[-1]
-    mlp._cache = ForwardCache(activations)
-    return y.copy(), mlp._cache
+    mlp._forward = _layers(mlp, a, lambda l, n: mlp._acts[l][:n])
+    y = mlp._forward[-1]
+    return (y[0] if squeeze else y).copy()
 
 
 def mlp_predict(mlp: Mlp, x: Array) -> Array:
-    """:func:`mlp_forward`'s output alone; the network's buffers and cache are left as they were."""
+    """:func:`mlp_forward`'s output alone; the network's buffers are left as they were."""
     a, squeeze = _as_batch(x, mlp.in_dim, "input")
     y = _layers(mlp, a, lambda l, n: _work(l, n, mlp.layer_sizes[l + 1]))[-1]
     return (y[0] if squeeze else y).copy()
 
 
-def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grads):
+def _backprop(mlp: Mlp, grad_output: Array, w_grads, b_grads):
     """Fill ``w_grads``/``b_grads`` down to layer 0, or if None, return the input gradient."""
-    if cache is not mlp._cache:
-        raise ValueError("cache is stale or from another network; run mlp_forward again")
-    acts = cache.activations
+    acts = mlp._forward
+    if not acts:
+        raise ValueError("the network has had no mlp_forward to backpropagate")
     gy, squeeze = _as_batch(grad_output, mlp.out_dim, "grad_output")
     n = acts[0].shape[0]
     if gy.shape[0] != n:
-        raise ValueError(f"grad_output batch {gy.shape[0]} != cached batch {n}")
+        raise ValueError(f"grad_output batch {gy.shape[0]} != forward batch {n}")
     g = gy
     if mlp.output_activation == "tanh":
         g = np.multiply(acts[-1], acts[-1], out=_work(mlp.n_layers, n, mlp.out_dim))
@@ -221,17 +208,17 @@ def _backprop(mlp: Mlp, cache: ForwardCache, grad_output: Array, w_grads, b_grad
     return (g[0] if squeeze else g).copy()
 
 
-def mlp_gradients(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Gradients:
+def mlp_gradients(mlp: Mlp, grad_output: Array) -> Gradients:
     """Backpropagate ``grad_output`` (dLoss/dOutput) through the network's latest forward pass."""
     flat = _shared(0, mlp.flat.size)
     w_grads, b_grads = _layer_views(flat, mlp.layer_sizes)
-    _backprop(mlp, cache, grad_output, w_grads, b_grads)
+    _backprop(mlp, grad_output, w_grads, b_grads)
     return Gradients(flat, w_grads, b_grads)
 
 
-def mlp_input_gradient(mlp: Mlp, cache: ForwardCache, grad_output: Array) -> Array:
-    """A copy of dLoss/dInput, one row per batch element, without the parameter gradients."""
-    return _backprop(mlp, cache, grad_output, None, None)
+def mlp_input_gradient(mlp: Mlp, grad_output: Array) -> Array:
+    """A copy of dLoss/dInput through the latest forward, one row per batch element."""
+    return _backprop(mlp, grad_output, None, None)
 
 
 @dataclass
@@ -241,10 +228,10 @@ class AdamState:
     learning_rate: float
     m: Array
     v: Array
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
+
+
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator floor
 
 
 def adam_init(mlp: Mlp, learning_rate: float) -> AdamState:
@@ -276,7 +263,7 @@ def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
         raise ValueError("non-finite gradient passed to adam_step")
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr = BETA1, BETA2, state.learning_rate
     correction1, correction2 = 1.0 - b1**t, 1.0 - b2**t
     for lo in range(0, p.size, BLOCK):
         gb, pb, mb, vb = (a[lo : lo + BLOCK] for a in (g, p, m, v))
@@ -295,7 +282,7 @@ def adam_step(mlp: Mlp, grads: Gradients, state: AdamState) -> None:
             s1 *= lr
         np.divide(vb, correction2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += eps
+        s2 += EPSILON
         s1 /= s2
         pb -= s1
 

@@ -3,20 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 Array = np.ndarray
-
-
-class Transition(NamedTuple):
-    """One step of experience. ``action`` is a float vector or an int index."""
-
-    state: Array
-    action: Array | int
-    reward: float
-    next_state: Array
 
 
 @dataclass
@@ -60,22 +50,23 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, transition: Transition) -> None:
-        state = np.asarray(transition.state, dtype=float)
-        next_state = np.asarray(transition.next_state, dtype=float)
+    def push(self, state: Array, action: Array | int, reward: float, next_state: Array) -> None:
+        """Store one step of experience. ``action`` is a float vector or an int index."""
+        state = np.asarray(state, dtype=float)
+        next_state = np.asarray(next_state, dtype=float)
         if state.shape != (self.state_dim,) or next_state.shape != (self.state_dim,):
             raise ValueError(
                 f"states must have shape ({self.state_dim},), "
                 f"got {state.shape} and {next_state.shape}"
             )
-        reward = float(transition.reward)
+        reward = float(reward)
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         i = self._cursor
         if self.action_dim is None:
-            self._actions[i] = int(transition.action)
+            self._actions[i] = int(action)
         else:
-            action = np.asarray(transition.action, dtype=float)
+            action = np.asarray(action, dtype=float)
             if action.shape != (self.action_dim,):
                 raise ValueError(
                     f"action must have shape ({self.action_dim},), got {action.shape}"

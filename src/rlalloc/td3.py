@@ -146,12 +146,12 @@ class Td3Agent:
         critic_in = self._critic_input(states, actions)
         losses = []
         for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            q, cache = mlp_forward(critic, critic_in)
+            q = mlp_forward(critic, critic_in)
             err = q - y
             loss = float(np.mean(err**2))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"critic loss is not finite: {loss}")
-            grads = mlp_gradients(critic, cache, (2.0 / n) * err)
+            grads = mlp_gradients(critic, (2.0 / n) * err)
             adam_step(critic, grads, opt)
             losses.append(loss)
         critic_loss = 0.5 * (losses[0] + losses[1])
@@ -159,15 +159,15 @@ class Td3Agent:
         self.train_calls += 1
         actor_loss: float | None = None
         if self.train_calls % hp.policy_delay == 0:
-            pi, actor_cache = mlp_forward(self.actor, states)
+            pi = mlp_forward(self.actor, states)
             q_in = self._critic_input(states, pi)
-            q, q_cache = mlp_forward(self.critic1, q_in)
+            q = mlp_forward(self.critic1, q_in)
             actor_loss = float(-np.mean(q))
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged(f"actor loss is not finite: {actor_loss}")
-            q_grad = mlp_input_gradient(self.critic1, q_cache, np.full((n, 1), -1.0 / n))
+            q_grad = mlp_input_gradient(self.critic1, np.full((n, 1), -1.0 / n))
             action_grad = q_grad[:, self.state_dim :]
-            actor_grads = mlp_gradients(self.actor, actor_cache, action_grad)
+            actor_grads = mlp_gradients(self.actor, action_grad)
             adam_step(self.actor, actor_grads, self.actor_opt)
             soft_update(self.actor_target, self.actor, hp.soft_tau)
             soft_update(self.critic1_target, self.critic1, hp.soft_tau)

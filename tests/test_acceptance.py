@@ -300,11 +300,11 @@ def test_criterion_6_gradient_and_optimizer_checks(capsys):
         activation = "tanh" if i % 2 else "linear"
         mlp, x, batch = draw_testable_instance(rng, activation)
         grad_output = rng.normal(size=(batch, mlp.out_dim))
-        _, cache = mlp_forward(mlp, x)
-        grads = mlp_gradients(mlp, cache, grad_output)
+        mlp_forward(mlp, x)
+        grads = mlp_gradients(mlp, grad_output)
 
         def loss():
-            y, _ = mlp_forward(mlp, x)
+            y = mlp_forward(mlp, x)
             return float(np.sum(grad_output * y))
 
         for layer in range(mlp.n_layers):
@@ -331,8 +331,8 @@ def test_criterion_6_gradient_and_optimizer_checks(capsys):
     before = [w.copy() for w in mlp.weights]
     state = adam_init(mlp, learning_rate=0.01)
     x = rng.normal(size=(5, 3))
-    _, cache = mlp_forward(mlp, x)
-    grads = mlp_gradients(mlp, cache, rng.normal(size=(5, 2)))
+    mlp_forward(mlp, x)
+    grads = mlp_gradients(mlp, rng.normal(size=(5, 2)))
     adam_step(mlp, grads, state)
     adam_ok = all(
         np.allclose(

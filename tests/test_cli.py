@@ -438,6 +438,12 @@ def metrics_dir(sra_config, tmp_path, capsys, monkeypatch):
     (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\x00\x01\n")
     (tmp_path / "folder.jsonl").mkdir()
     (tmp_path / "empty.jsonl").write_text("")
+    for name, key, value in [("null-U", "U", None), ("text-U", "U", "a"),
+                             ("null-policy", "policy", None), ("text-k", "k", "zz")]:
+        bad = json.dumps({**json.loads(lines[2]), key: value})
+        (tmp_path / f"{name}.jsonl").write_text("\n".join(lines[:2] + [bad]) + "\n")
+    mec_first = (tmp_path / "mec.jsonl").read_text().splitlines()[0]
+    (tmp_path / "short-mec.jsonl").write_text(mec_first + "\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -457,10 +463,19 @@ def metrics_dir(sra_config, tmp_path, capsys, monkeypatch):
         (["plot", "--kind", "allocation", "mec.jsonl"], "mec.jsonl"),
         (["plot", "--kind", "latency", "slicing.jsonl"], "slicing.jsonl"),
         (["plot", "--kind", "epsilon-sweep", "mec.jsonl", "slicing.jsonl"], "slicing.jsonl"),
+        (["compare", "slicing.jsonl", "null-U.jsonl"], "null-U.jsonl, record 3: 'U'"),
+        (["compare", "slicing.jsonl", "text-U.jsonl"], "text-U.jsonl, record 3: 'U'"),
+        (["compare", "slicing.jsonl", "null-policy.jsonl"],
+         "null-policy.jsonl, record 3: 'policy'"),
+        (["plot", "--kind", "allocation", "text-k.jsonl"], "text-k.jsonl, record 3: 'k'"),
+        (["plot", "--kind", "epsilon-sweep", "mec.jsonl", "short-mec.jsonl"],
+         "mec.jsonl: 20, short-mec.jsonl: 1"),
     ],
     ids=["compare-missing", "compare-directory", "compare-not-utf8", "compare-cut-line",
          "compare-unknown-schema", "compare-empty", "plot-missing", "plot-cut-line",
-         "plot-unknown-schema", "allocation-of-mec", "latency-of-slicing", "sweep-of-slicing"],
+         "plot-unknown-schema", "allocation-of-mec", "latency-of-slicing", "sweep-of-slicing",
+         "compare-null-number", "compare-text-number", "compare-null-policy",
+         "allocation-text-shares", "sweep-of-unequal-runs"],
 )
 def test_bad_metrics_file_exits_2_and_writes_nothing(argv, named, metrics_dir, capsys):
     assert cli.main(argv) == 2
@@ -518,6 +533,15 @@ def test_sweep_epsilon_subcommand(dqn_config, tmp_path, capsys):
     assert "epsilon=0.2" in out and "epsilon=0.8" in out
     assert (out_dir / "epsilon-sweep-seed0.csv").exists()
     assert (out_dir / "metrics-mec-dqn-eps0.2-seed0.jsonl").exists()
+
+
+def test_sweep_epsilon_checks_every_value_before_the_first_run(dqn_config, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-epsilon", "--config", str(dqn_config), "--values", "0.1,1.5",
+            "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 2
+    assert "epsilon must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_sweep_epsilon_bad_values_exits_2(dqn_config, capsys):

@@ -33,9 +33,9 @@ def make_batch(rng, n, state_dim, num_actions):
 
 def replicate_loss(agent, batch, discount):
     """Expected squared Bellman error from the agent's current weights."""
-    q_next, _ = mlp_forward(agent.target, batch.next_states)
+    q_next = mlp_forward(agent.target, batch.next_states)
     y = batch.rewards + discount * q_next.min(axis=1)
-    q, _ = mlp_forward(agent.online, batch.states)
+    q = mlp_forward(agent.online, batch.states)
     taken = q[np.arange(len(batch)), batch.actions]
     return float(np.mean((taken - y) ** 2))
 
@@ -125,7 +125,7 @@ def test_zero_discount_fits_reward_only():
     hp = tiny_hp(discount=0.0)
     agent = DqnAgent(3, 4, hp, rng=9)
     batch = make_batch(np.random.default_rng(10), hp.batch_size, 3, 4)
-    q, _ = mlp_forward(agent.online, batch.states)
+    q = mlp_forward(agent.online, batch.states)
     taken = q[np.arange(len(batch)), batch.actions]
     expected = float(np.mean((taken - batch.rewards) ** 2))
     assert agent.train_step(batch) == pytest.approx(expected, rel=1e-12)

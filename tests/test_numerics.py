@@ -27,7 +27,7 @@ def random_mlp(rng, output_activation="linear", max_hidden_layers=3, max_width=8
 
 def scalar_loss(mlp, x, grad_output):
     """L = sum_{b,o} G[b,o] * y[b,o]; grad_output is dL/dy by construction."""
-    y, _ = mlp_forward(mlp, x)
+    y = mlp_forward(mlp, x)
     return float(np.sum(grad_output * y))
 
 
@@ -66,9 +66,9 @@ def draw_testable_instance(rng, output_activation, margin=1e-3, attempts=50):
 def finite_difference_check(mlp, x, rng, step=1e-5):
     batch = x.shape[0]
     grad_output = rng.normal(size=(batch, mlp.out_dim))
-    _, cache = mlp_forward(mlp, x)
-    grads = mlp_gradients(mlp, cache, grad_output)
-    wrt_input = mlp_input_gradient(mlp, cache, grad_output)
+    mlp_forward(mlp, x)
+    grads = mlp_gradients(mlp, grad_output)
+    wrt_input = mlp_input_gradient(mlp, grad_output)
 
     worst = 0.0
     for layer in range(mlp.n_layers):
@@ -116,28 +116,28 @@ def test_forward_matches_hand_computation():
     x = np.array([0.5, -1.5])
     hidden = np.maximum(w0 @ x + b0, 0.0)
     expected = np.tanh(w1 @ hidden + b1)
-    y, cache = mlp_forward(mlp, x)
+    y = mlp_forward(mlp, x)
     assert y.shape == (1,)
     np.testing.assert_allclose(y, expected, rtol=0, atol=1e-15)
-    assert cache.activations[0].shape == (1, 2)
+    assert mlp._forward[0].shape == (1, 2)
 
 
 def test_forward_shapes_1d_and_2d():
     rng = np.random.default_rng(0)
     mlp = mlp_init([4, 5, 2], "linear", rng=rng)
-    y1, _ = mlp_forward(mlp, np.zeros(4))
+    y1 = mlp_forward(mlp, np.zeros(4))
     assert y1.shape == (2,)
-    y2, _ = mlp_forward(mlp, np.zeros((7, 4)))
+    y2 = mlp_forward(mlp, np.zeros((7, 4)))
     assert y2.shape == (7, 2)
     # A single-row batch stays 2-D.
-    y3, _ = mlp_forward(mlp, np.zeros((1, 4)))
+    y3 = mlp_forward(mlp, np.zeros((1, 4)))
     assert y3.shape == (1, 2)
 
 
 def test_tanh_output_is_bounded():
     rng = np.random.default_rng(1)
     mlp = mlp_init([3, 16, 2], "tanh", rng=rng)
-    y, _ = mlp_forward(mlp, rng.normal(size=(100, 3)) * 50)
+    y = mlp_forward(mlp, rng.normal(size=(100, 3)) * 50)
     assert np.all(np.abs(y) <= 1.0)
 
 
@@ -187,13 +187,19 @@ def test_gradients_match_finite_differences(activation):
         assert worst < 1e-4, f"finite-difference mismatch {worst:.2e}"
 
 
-def test_gradients_reject_mismatched_cache():
+def test_gradients_need_a_forward():
     rng = np.random.default_rng(3)
-    a = mlp_init([2, 3, 1], "linear", rng=rng)
-    b = mlp_init([2, 4, 1], "linear", rng=rng)
-    _, cache = mlp_forward(a, np.zeros(2))
-    with pytest.raises(ValueError):
-        mlp_gradients(b, cache, np.ones((1, 1)))
+    fresh = mlp_init([2, 3, 1], "linear", rng=rng)
+    predicted = mlp_init([2, 4, 1], "linear", rng=rng)
+    mlp_predict(predicted, np.zeros(2))
+    forwarded = mlp_init([2, 5, 1], "linear", rng=rng)
+    mlp_forward(forwarded, np.zeros(2))
+    for mlp in (fresh, predicted, forwarded.copy()):
+        with pytest.raises(ValueError, match="no mlp_forward"):
+            mlp_gradients(mlp, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="no mlp_forward"):
+            mlp_input_gradient(mlp, np.ones((1, 1)))
+    mlp_gradients(forwarded, np.ones((1, 1)))
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -204,8 +210,8 @@ def test_adam_first_step_is_signed_learning_rate():
     state = adam_init(mlp, learning_rate=0.01)
     x = rng.normal(size=(5, 3))
     grad_output = rng.normal(size=(5, 2))
-    _, cache = mlp_forward(mlp, x)
-    grads = mlp_gradients(mlp, cache, grad_output)
+    mlp_forward(mlp, x)
+    grads = mlp_gradients(mlp, grad_output)
     adam_step(mlp, grads, state)
     for layer in range(mlp.n_layers):
         g = grads.weights[layer]
@@ -224,13 +230,13 @@ def test_adam_converges_on_quadratic():
     target = np.array([[2.5]])
 
     def loss():
-        y, _ = mlp_forward(mlp, x)
+        y = mlp_forward(mlp, x)
         return float(((y - target) ** 2).sum())
 
     first = loss()
     for _ in range(200):
-        y, cache = mlp_forward(mlp, x)
-        grads = mlp_gradients(mlp, cache, 2.0 * (y - target))
+        y = mlp_forward(mlp, x)
+        grads = mlp_gradients(mlp, 2.0 * (y - target))
         adam_step(mlp, grads, state)
     assert loss() < 1e-3 < first
 
@@ -239,8 +245,8 @@ def test_adam_rejects_non_finite_gradients():
     rng = np.random.default_rng(6)
     mlp = mlp_init([2, 3, 1], "linear", rng=rng)
     state = adam_init(mlp, learning_rate=0.01)
-    _, cache = mlp_forward(mlp, np.zeros((1, 2)))
-    grads = mlp_gradients(mlp, cache, np.array([[np.nan]]))
+    mlp_forward(mlp, np.zeros((1, 2)))
+    grads = mlp_gradients(mlp, np.array([[np.nan]]))
     with pytest.raises(ValueError):
         adam_step(mlp, grads, state)
 
@@ -253,8 +259,8 @@ def test_adam_bits_equal_the_bias_corrected_formula_on_both_sides_of_exact_corre
     rng = np.random.default_rng(13)
     mlp = mlp_init([4, 9, 3], "linear", rng=rng)
     state = adam_init(mlp, learning_rate=lr)
-    _, cache = mlp_forward(mlp, rng.normal(size=(6, 4)))
-    grads = mlp_gradients(mlp, cache, rng.normal(size=(6, 3)))
+    mlp_forward(mlp, rng.normal(size=(6, 4)))
+    grads = mlp_gradients(mlp, rng.normal(size=(6, 3)))
     g = grads.flat.copy()
     for t in (1, exact - 2, exact - 1, exact, exact + 1, 5000):
         state.step_count = t - 1
@@ -327,8 +333,8 @@ def test_flat_layout_and_whole_vector_updates_match_per_layer_formulas():
     ref_v = [np.zeros_like(a) for a in ref]
     x = rng.normal(size=(4, 5))
     for t in range(1, 4):
-        y, cache = mlp_forward(mlp, x)
-        grads = mlp_gradients(mlp, cache, y - 0.5)
+        y = mlp_forward(mlp, x)
+        grads = mlp_gradients(mlp, y - 0.5)
         assert all(np.shares_memory(g, grads.flat) for g in layers(grads))
         for p, g, m, v in zip(ref, layers(grads), ref_m, ref_v):
             m *= b1
@@ -387,41 +393,44 @@ def test_buffered_passes_equal_allocating_reference_bit_for_bit():
             x = rng.normal(size=(batch, mlp.in_dim))
             grad_output = rng.normal(size=(batch, mlp.out_dim))
             acts, w_grads, b_grads, wrt_input = reference_passes(mlp, x, grad_output)
-            y, cache = mlp_forward(mlp, x)
+            y = mlp_forward(mlp, x)
             assert np.array_equal(y, acts[-1])
-            assert all(np.array_equal(a, b) for a, b in zip(cache.activations, acts))
-            assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output), wrt_input)
-            grads = mlp_gradients(mlp, cache, grad_output)
+            assert all(np.array_equal(a, b) for a, b in zip(mlp._forward, acts))
+            assert np.array_equal(mlp_input_gradient(mlp, grad_output), wrt_input)
+            grads = mlp_gradients(mlp, grad_output)
             assert all(np.array_equal(a, b) for a, b in zip(grads.weights, w_grads))
             assert all(np.array_equal(a, b) for a, b in zip(grads.biases, b_grads))
-            # The parameter backward leaves the cache current for the input gradient.
-            assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output), wrt_input)
+            # The parameter backward leaves the forward current for the input gradient.
+            assert np.array_equal(mlp_input_gradient(mlp, grad_output), wrt_input)
         # A vector input takes the batch-1 path and returns vectors.
-        y, cache = mlp_forward(mlp, x[0])
+        y = mlp_forward(mlp, x[0])
         assert np.array_equal(y, acts[-1][0])
-        grads = mlp_gradients(mlp, cache, grad_output[0])
+        grads = mlp_gradients(mlp, grad_output[0])
         assert all(np.array_equal(a, b) for a, b in zip(grads.weights, w_grads))
-        assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output[0]), wrt_input[0])
+        assert np.array_equal(mlp_input_gradient(mlp, grad_output[0]), wrt_input[0])
 
 
-def test_stale_cache_is_rejected():
+def test_gradients_follow_the_latest_forward():
     rng = np.random.default_rng(61)
     mlp = mlp_init([3, 5, 2], "tanh", rng=rng)
-    _, first = mlp_forward(mlp, rng.normal(size=(4, 3)))
-    _, second = mlp_forward(mlp, rng.normal(size=(4, 3)))
-    grad_output = np.ones((4, 2))
-    with pytest.raises(ValueError, match="stale"):
-        mlp_gradients(mlp, first, grad_output)
-    with pytest.raises(ValueError, match="stale"):
-        mlp_input_gradient(mlp, first, grad_output)
-    mlp_gradients(mlp, second, grad_output)
+    clone = mlp.copy()
+    # The second batch is smaller, so it reuses the first rows of the first forward's buffers.
+    first, second = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+    grad_output = rng.normal(size=(4, 2))
+    mlp_forward(mlp, first)
+    mlp_forward(mlp, second)
+    mlp_forward(clone, second)
+    expected = mlp_gradients(clone, grad_output).flat.copy()
+    expected_input = mlp_input_gradient(clone, grad_output)
+    assert np.array_equal(mlp_gradients(mlp, grad_output).flat, expected)
+    assert np.array_equal(mlp_input_gradient(mlp, grad_output), expected_input)
 
 
 def test_returned_output_survives_later_forwards():
     rng = np.random.default_rng(62)
     mlp = mlp_init([3, 5, 2], "linear", rng=rng)
-    y, _ = mlp_forward(mlp, rng.normal(size=(4, 3)))
-    v, _ = mlp_forward(mlp, rng.normal(size=3))
+    y = mlp_forward(mlp, rng.normal(size=(4, 3)))
+    v = mlp_forward(mlp, rng.normal(size=3))
     kept_y, kept_v = y.copy(), v.copy()
     mlp_forward(mlp, rng.normal(size=(4, 3)))
     mlp_forward(mlp, rng.normal(size=3))
@@ -432,14 +441,14 @@ def test_copy_shares_no_buffer_with_its_source():
     rng = np.random.default_rng(63)
     mlp = mlp_init([3, 6, 6, 2], "tanh", rng=rng)
     x, grad_output = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
-    _, cache = mlp_forward(mlp, x)
+    mlp_forward(mlp, x)
     clone = mlp.copy()
-    _, clone_cache = mlp_forward(clone, x)
-    for ours, theirs in zip(cache.activations[1:], clone_cache.activations[1:]):
+    mlp_forward(clone, x)
+    for ours, theirs in zip(mlp._forward[1:], clone._forward[1:]):
         assert not np.shares_memory(ours, theirs)
     assert not np.shares_memory(clone.flat, mlp.flat)
-    # The clone's forward left the source's cache current.
-    mlp_gradients(mlp, cache, grad_output)
+    # The clone's forward left the source's own forward current.
+    mlp_gradients(mlp, grad_output)
 
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 7])
@@ -493,7 +502,7 @@ def test_predict_equals_forward_bit_for_bit(sizes, activation):
     mlp.flat[:] += rng.normal(scale=0.01, size=mlp.flat.size)  # non-zero biases
     for x in (rng.normal(size=(64, sizes[0])), rng.normal(size=(1, sizes[0])),
               rng.normal(size=sizes[0])):
-        y, _ = mlp_forward(mlp, x)
+        y = mlp_forward(mlp, x)
         predicted = mlp_predict(mlp, x)
         assert predicted.shape == y.shape and np.array_equal(predicted, y)
 
@@ -502,12 +511,12 @@ def test_predict_leaves_the_forward_cache_valid():
     rng = np.random.default_rng(72)
     mlp = mlp_init((6, 32, 32, 2), "tanh", rng=rng)
     x, grad_output = rng.normal(size=(64, 6)), rng.normal(size=(64, 2))
-    _, cache = mlp_forward(mlp, x)
-    expected = mlp_gradients(mlp, cache, grad_output).flat.copy()
-    expected_input = mlp_input_gradient(mlp, cache, grad_output)
+    mlp_forward(mlp, x)
+    expected = mlp_gradients(mlp, grad_output).flat.copy()
+    expected_input = mlp_input_gradient(mlp, grad_output)
 
-    _, cache = mlp_forward(mlp, x)
+    mlp_forward(mlp, x)
     mlp_predict(mlp, rng.normal(size=(64, 6)))
     mlp_predict(mlp, rng.normal(size=6))
-    assert np.array_equal(mlp_gradients(mlp, cache, grad_output).flat, expected)
-    assert np.array_equal(mlp_input_gradient(mlp, cache, grad_output), expected_input)
+    assert np.array_equal(mlp_gradients(mlp, grad_output).flat, expected)
+    assert np.array_equal(mlp_input_gradient(mlp, grad_output), expected_input)

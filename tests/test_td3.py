@@ -36,15 +36,15 @@ def make_batch(rng, n, state_dim, action_dim):
 
 def replicate_critic_loss(agent, batch, noise, discount):
     """Recompute the expected critic loss from the agent's current weights."""
-    next_pi, _ = mlp_forward(agent.actor_target, batch.next_states)
+    next_pi = mlp_forward(agent.actor_target, batch.next_states)
     next_actions = np.clip(next_pi + noise, -1.0, 1.0)
     target_in = np.hstack([batch.next_states, next_actions])
-    q1, _ = mlp_forward(agent.critic1_target, target_in)
-    q2, _ = mlp_forward(agent.critic2_target, target_in)
+    q1 = mlp_forward(agent.critic1_target, target_in)
+    q2 = mlp_forward(agent.critic2_target, target_in)
     y = batch.rewards[:, None] + discount * np.minimum(q1, q2)
     critic_in = np.hstack([batch.states, batch.actions])
-    q1_now, _ = mlp_forward(agent.critic1, critic_in)
-    q2_now, _ = mlp_forward(agent.critic2, critic_in)
+    q1_now = mlp_forward(agent.critic1, critic_in)
+    q2_now = mlp_forward(agent.critic2, critic_in)
     return 0.5 * (float(np.mean((q1_now - y) ** 2)) + float(np.mean((q2_now - y) ** 2)))
 
 
@@ -147,11 +147,11 @@ def test_target_uses_min_of_both_critics():
 
     # Replicate with min() and with critic1 alone; they must differ, and the
     # agent must match the min() version.
-    next_pi, _ = mlp_forward(agent.actor_target, batch.next_states)
+    next_pi = mlp_forward(agent.actor_target, batch.next_states)
     next_actions = np.clip(next_pi + noise, -1.0, 1.0)
     target_in = np.hstack([batch.next_states, next_actions])
-    q1, _ = mlp_forward(agent.critic1_target, target_in)
-    q2, _ = mlp_forward(agent.critic2_target, target_in)
+    q1 = mlp_forward(agent.critic1_target, target_in)
+    q2 = mlp_forward(agent.critic2_target, target_in)
     assert not np.allclose(np.minimum(q1, q2), q1)
 
     expected = replicate_critic_loss(agent, batch, noise, hp.discount)
@@ -177,8 +177,8 @@ def test_zero_discount_fits_reward_only():
     agent = Td3Agent(3, 2, hp, rng=seed)
     batch = make_batch(np.random.default_rng(12), hp.batch_size, 3, 2)
     critic_in = np.hstack([batch.states, batch.actions])
-    q1, _ = mlp_forward(agent.critic1, critic_in)
-    q2, _ = mlp_forward(agent.critic2, critic_in)
+    q1 = mlp_forward(agent.critic1, critic_in)
+    q2 = mlp_forward(agent.critic2, critic_in)
     y = batch.rewards[:, None]
     expected = 0.5 * (float(np.mean((q1 - y) ** 2)) + float(np.mean((q2 - y) ** 2)))
     critic_loss, _ = agent.train_step(batch)
