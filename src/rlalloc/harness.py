@@ -553,6 +553,11 @@ def sweep_epsilon(
         raise ConfigError("the epsilon sweep applies to mec runs with the dqn policy")
     if not values:
         raise ConfigError("need at least one epsilon value")
+    seen: set[float] = set()
+    for eps in map(float, values):  # equal values would run one experiment into one file
+        if eps in seen:
+            raise ConfigError(f"epsilon {eps} is given more than once; give each value once")
+        seen.add(eps)
     configs = [replace(config, agent_overrides=dict(config.agent_overrides, epsilon=float(eps)))
                for eps in values]
     for run_cfg in configs:  # a bad value is rejected before the first run writes anything

@@ -21,8 +21,9 @@ One slot table, built once per slot, is the only code that applies this
 rule: each server's overflow, its local or core latency, and the offloads a
 target could accept; an offload's latency is computed where it is read.
 ``evaluate_action`` resolves a joint choice against it. Baselines:
-``brute_force_optimal`` scores every valid joint action from the same table,
-so that an action costs a max rather than an ``evaluate_action``;
+``brute_force_optimal`` scores joint actions from the same table, each at the
+cost of a running max rather than an ``evaluate_action``, and skips the
+requests the table rejects, which cannot be the first minimum;
 ``random_routing`` picks uniformly among each server's valid choices.
 """
 
@@ -312,10 +313,10 @@ def _slot_table(topology: EdgeTopology, arrival_sizes: Array) -> tuple[list, lis
     sizes = np.asarray(arrival_sizes, dtype=float)
     if sizes.shape != (n,):
         raise ValueError(f"arrival_sizes must have shape ({n},), got {sizes.shape}")
-    # The table is built from Python floats: the same doubles, without NumPy's per-call cost.
-    over = np.maximum(0.0, sizes - topology.slot_capacity()).tolist()
+    # Python floats: the doubles slot_capacity() and np.maximum give, without NumPy's per-call cost.
     size, cap = sizes.tolist(), topology.capacities.tolist()
     tau, cpb = topology.tau, topology.cycles_per_bit
+    over = [max(s - tau * c / cpb, 0.0) for s, c in zip(size, cap)]
     base = [
         latency_local(s, c, cpb) if o == 0.0 else latency_core(o, tau, topology.core_rate)
         for o, s, c in zip(over, size, cap)
@@ -328,8 +329,8 @@ def _slot_table(topology: EdgeTopology, arrival_sizes: Array) -> tuple[list, lis
 
 
 def _offload_latency(topology: EdgeTopology, over: list, i: int, j: int) -> float:
-    cap, cpb = float(topology.capacities[j]), topology.cycles_per_bit
-    return latency_offload(over[i], topology.tau, topology.link_rates[i, j], cap, cpb)
+    rate, cap = topology.link_rates.item(i, j), topology.capacities.item(j)  # Python floats
+    return latency_offload(over[i], topology.tau, rate, cap, topology.cycles_per_bit)
 
 
 def _resolve(topology: EdgeTopology, table: tuple, choices) -> SlotOutcome:
@@ -371,16 +372,14 @@ def evaluate_action(
     return _resolve(topology, _slot_table(topology, arrival_sizes), choices)
 
 
-def _joint_actions(topology: EdgeTopology, overflowing: Array) -> list[tuple[int, ...]]:
-    """Every joint choice: an overflowing server's routing choices, else ``NOOP``."""
-    options = [r if over else (NOOP,) for r, over in zip(topology.routing_choices, overflowing)]
+def _check_enumerable(options: list) -> None:
+    """Reject joint actions over ``options``, one list of choices per server, above the ceiling."""
     count = math.prod(len(o) for o in options)
     if count > ENUMERATION_CEILING:
         raise ConfigError(
             f"joint action space has {count} entries (> {ENUMERATION_CEILING}); "
             "this instance is too large to enumerate — reduce servers or neighbors"
         )
-    return list(itertools.product(*options))
 
 
 def action_catalog(config: MecConfig) -> list[tuple[int, ...]]:
@@ -393,7 +392,10 @@ def action_catalog(config: MecConfig) -> list[tuple[int, ...]]:
     """
     slot_cap = config.topology.slot_capacity()
     can_overflow = config.arrivals.max_sizes() > slot_cap
-    return _joint_actions(config.topology, can_overflow)
+    routes = config.topology.routing_choices
+    options = [r if over else (NOOP,) for r, over in zip(routes, can_overflow)]
+    _check_enumerable(options)
+    return list(itertools.product(*options))
 
 
 def brute_force_optimal(
@@ -401,28 +403,47 @@ def brute_force_optimal(
 ) -> tuple[tuple[int, ...], SlotOutcome]:
     """Exhaustive search for the joint choice minimizing the worst latency.
 
-    Every joint action is scored from the slot table: a request the table
-    holds reads its offload latency, computed once per pair, any other
-    server its local or core latency. Ties go to the lexicographically first
-    action, so an action in which contention rejects a request is skipped:
-    with that request sent to the core it is an earlier action with the same
-    latencies. The chosen action is resolved against the same table.
+    Once per slot, each overflowing server gets a list of options from the slot
+    table: ``(choice, latency, target bit)``. ``CORE`` comes first, with the
+    core latency and bit 0; then, in routing order, each neighbor that could
+    accept the overflow, with its offload latency and ``1 << neighbor``. A
+    request the table does not hold would go to the core: it costs what ``CORE``
+    costs, comes later, and so is never the first minimum; it is left out.
+    A joint action is one option per overflowing server, ``NOOP`` for the rest.
+    Its cost is a running max over its options, seeded with the largest local
+    latency. An action in which two requests ask one target is skipped:
+    contention sends one of them to the core, which makes it an earlier action
+    with the same latencies. Ties go to the lexicographically first action (the
+    first strict minimum), and the chosen action is resolved against the same
+    table.
     """
     table = _slot_table(topology, arrival_sizes)
     over, base, acceptable = table
-    offload = {(i, j): _offload_latency(topology, over, i, j) for i, j in acceptable}
     sources = [i for i, o in enumerate(over) if o > 0.0]
+    _check_enumerable([topology.routing_choices[i] for i in sources])
+    options = [
+        [(CORE, base[i], 0)] + [(j, _offload_latency(topology, over, i, j), 1 << j)
+                                for j in topology.neighbors[i] if (i, j) in acceptable]
+        for i in sources
+    ]
     local = [base[i] for i, o in enumerate(over) if o == 0.0]
-
-    def l_max(action: tuple[int, ...]) -> float:
-        targets = [action[i] for i in sources if (i, action[i]) in offload]
-        if len(set(targets)) < len(targets):
-            return math.inf  # contention rejects one of the requests
-        return max(local + [offload.get((i, action[i]), base[i]) for i in sources])
-
-    overflowing = [o > 0.0 for o in over]
-    best = min(_joint_actions(topology, overflowing), key=l_max)  # min keeps the first
-    return best, _resolve(topology, table, best)
+    floor = max(local) if local else -math.inf
+    best, best_latency = None, math.inf
+    for joint in itertools.product(*options):
+        worst, taken = floor, 0
+        for _, latency, target in joint:
+            if taken & target:
+                break  # contention
+            taken |= target
+            if latency > worst:
+                worst = latency
+        else:
+            if best is None or worst < best_latency:
+                best, best_latency = joint, worst
+    action = [NOOP] * len(over)
+    for i, (choice, _, _) in zip(sources, best):
+        action[i] = choice
+    return tuple(action), _resolve(topology, table, action)
 
 
 def random_routing(
@@ -455,13 +476,13 @@ class MecEnv:
         self._rng = np.random.default_rng(rng)
         self._latency_ref = config.resolved_latency_ref()
         self._arrivals: Array | None = None
-        self._prev_latencies: Array | None = None
+        self._prev_latencies: list[float] | None = None
         self._prev_effective: tuple[int, ...] | None = None
         # Observation position of each (server, choice) one-hot entry; choice None is the latency.
         routes = self.topology.routing_choices
         keys = [(i, c) for i, rs in enumerate(routes) for c in (None, *rs, NOOP)]
         self._pos = {key: pos for pos, key in enumerate(keys)}
-        self._latency_pos = np.array([self._pos[i, None] for i in range(self.num_servers)])
+        self._latency_pos = [self._pos[i, None] for i in range(self.num_servers)]
         self._obs_dim = len(keys)
 
     @property
@@ -479,13 +500,16 @@ class MecEnv:
         return self._arrivals
 
     def _observation(self) -> Array:
-        obs = np.zeros(self._obs_dim)
-        obs[self._latency_pos] = np.clip(self._prev_latencies / self._latency_ref, 0.0, 1.0)
-        obs[[self._pos[key] for key in enumerate(self._prev_effective)]] = 1.0
-        return obs
+        obs = [0.0] * self._obs_dim
+        ref = self._latency_ref
+        for pos, latency in zip(self._latency_pos, self._prev_latencies):
+            obs[pos] = min(max(latency / ref, 0.0), 1.0)  # np.clip's bits, NaN included
+        for key in enumerate(self._prev_effective):
+            obs[self._pos[key]] = 1.0
+        return np.array(obs)
 
     def reset(self) -> Array:
-        self._prev_latencies = np.zeros(self.num_servers)
+        self._prev_latencies = [0.0] * self.num_servers
         self._prev_effective = tuple(NOOP for _ in range(self.num_servers))
         self._arrivals = self.config.arrivals.draw(self._rng)
         return self._observation()
@@ -501,7 +525,7 @@ class MecEnv:
             "effective": outcome.effective,
             "accepted": outcome.accepted,
         }
-        self._prev_latencies = outcome.latencies
+        self._prev_latencies = outcome.latencies.tolist()
         self._prev_effective = outcome.effective
         self._arrivals = self.config.arrivals.draw(self._rng)
         return self._observation(), outcome.latencies, outcome.l_max, info

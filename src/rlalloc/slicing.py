@@ -31,6 +31,9 @@ from rlalloc.traffic import ServiceProfile, SliceTraffic
 
 Array = np.ndarray
 
+# Scores raise an ndarray to this power, never a Python float: NumPy's SIMD ``power`` and
+# float ``**`` round differently on about 5 % of float64 inputs, and the outputs keep
+# NumPy's bits.
 SCORE_EXPONENT = 1.1
 MODES = ("analytic", "emulated")
 
@@ -245,11 +248,20 @@ def score_emulated(completed: Array, latency: Array, video_flag: Array, config: 
 
 
 def utility(scores: Array) -> float:
-    """Product of per-slice scores (the step reward)."""
-    c = np.asarray(scores, dtype=float)
-    if (c <= 0).any():
+    """Product of per-slice scores (the step reward).
+
+    Fewer than eight scores are multiplied left to right as Python floats, which gives
+    ``np.prod``'s bits without its per-call cost; longer vectors go to ``np.prod``.
+    """
+    c = np.asarray(scores, dtype=float).ravel().tolist()
+    if any(v <= 0.0 for v in c):
         warnings.warn("non-positive slice score: utility loses its product meaning")
-    return float(c.prod())
+    if len(c) >= 8:
+        return float(np.prod(c))
+    product = 1.0
+    for v in c:
+        product *= v
+    return product
 
 
 def water_fill_optimal(demands: Array, config: SliceConfig) -> Array:
@@ -310,7 +322,7 @@ class SlicingEnv:
         self.config = config
         self._rng = np.random.default_rng(rng)
         self._step_count = 0
-        self._prev_allocation: Array | None = None
+        self._prev_allocation: list[float] | None = None
         self._traffic: list[SliceTraffic] | None = None
         self._last_obs: Array | None = None
 
@@ -326,26 +338,28 @@ class SlicingEnv:
     def step_count(self) -> int:
         return self._step_count
 
-    def _observation(self, latencies: Array, demand_obs: Array) -> Array:
-        obs = np.empty(3 * self.config.num_slices)  # per-slice (o, l, d) triples
-        np.divide(self._prev_allocation, self.config.total_bandwidth, out=obs[0::3])
+    def _observation(self, latencies: list[float], demand_obs: list[float]) -> Array:
+        obs = [0.0] * (3 * self.config.num_slices)  # per-slice (o, l, d) triples
+        b = self.config.total_bandwidth
+        obs[0::3] = [k / b for k in self._prev_allocation]
         obs[1::3] = latencies
         obs[2::3] = demand_obs
-        return obs
+        return np.array(obs)
 
     def reset(self) -> Array:
         cfg = self.config
         i = cfg.num_slices
+        b = cfg.total_bandwidth
         self._step_count = 0
-        self._prev_allocation = np.full(i, cfg.total_bandwidth / i)
+        self._prev_allocation = [b / i] * i
         if cfg.mode == "emulated":
             self._traffic = [SliceTraffic(p, cfg.step_duration) for p in cfg.services]
-            latencies = np.full(i, cfg.step_duration) / cfg.latency_weights
-            demand_obs = np.zeros(i)
+            latencies = [cfg.step_duration / w for w in cfg.latency_weights.tolist()]
+            demand_obs = [0.0] * i
         else:
             self._traffic = None
-            latencies = np.zeros(i)
-            demand_obs = cfg.demands_at(1) / cfg.total_bandwidth
+            latencies = [0.0] * i
+            demand_obs = [d / b for d in cfg.demands_at(1).tolist()]
         self._last_obs = self._observation(latencies, demand_obs)
         return self._last_obs
 
@@ -354,37 +368,45 @@ class SlicingEnv:
         return self.step_allocation(map_action(action, self.config))
 
     def step_allocation(self, allocation: Array) -> tuple[Array, float, dict]:
-        """Apply a bandwidth split directly (used by the closed-form baselines)."""
+        """Apply a bandwidth split directly (used by the closed-form baselines).
+
+        The scores and the reward are those of ``score_analytic`` or ``score_emulated``
+        and ``utility``, bit for bit. Everything but the power reads the split, the
+        demands and the traffic measurements as Python floats, which costs less than a
+        NumPy call on a vector this short; the power stays an ndarray operation (see
+        ``SCORE_EXPONENT``).
+        """
         if self._last_obs is None:
             raise RuntimeError("call reset() before stepping the environment")
         cfg = self.config
         k = np.asarray(allocation, dtype=float)
         if k.shape != (cfg.num_slices,):
             raise ValueError(f"allocation must have shape ({cfg.num_slices},), got {k.shape}")
+        split = k.tolist()
+        b = cfg.total_bandwidth
         t = self._step_count + 1
         if cfg.mode == "analytic":
+            if any(x < 0.0 for x in split):
+                raise ValueError("allocations must be non-negative")
             demands_now = cfg.demands_at(t)
-            scores = score_analytic(k, demands_now, cfg.ideal_scores)
-            reward = utility(scores)
-            self._prev_allocation = k
-            self._step_count = t
-            obs = self._observation(
-                np.zeros(cfg.num_slices), cfg.demands_at(t + 1) / cfg.total_bandwidth
-            )
+            served = [min(x, d) / d for x, d in zip(split, demands_now.tolist())]
+            scores = np.array(served) ** SCORE_EXPONENT / cfg.ideal_scores
+            latencies = [0.0] * cfg.num_slices
+            demand_obs = [d / b for d in cfg.demands_at(t + 1).tolist()]
             info = {"k": k, "scores": scores, "demands": demands_now}
         else:
-            stats = [tr.advance(k_i, self._rng) for tr, k_i in zip(self._traffic, k)]
-            latency = np.array([s.mean_latency for s in stats])
-            scores = score_emulated(
-                [s.completed for s in stats], latency, [s.video_flag for s in stats], cfg
-            )
-            reward = utility(scores)
-            self._prev_allocation = k
-            self._step_count = t
-            demand_obs = np.array([s.arrived for s in stats]) / (
-                cfg.total_bandwidth * cfg.step_duration
-            )
-            obs = self._observation(latency / cfg.latency_weights, demand_obs)
+            stats = [tr.advance(x, self._rng) for tr, x in zip(self._traffic, split)]
+            weights = cfg.latency_weights.tolist()
+            base = [s.completed + w / s.mean_latency for s, w in zip(stats, weights)]
+            # Float flags: adding ints would cast through NumPy's 64 KiB buffer, a peak-RSS cost.
+            flags = np.array([s.video_flag for s in stats], dtype=float)
+            scores = np.array(base) ** SCORE_EXPONENT / cfg.ideal_scores + flags
+            latencies = [s.mean_latency / w for s, w in zip(stats, weights)]
+            scale = b * cfg.step_duration
+            demand_obs = [s.arrived / scale for s in stats]
             info = {"k": k, "scores": scores, "stats": stats}
-        self._last_obs = obs
+        reward = utility(scores)
+        self._prev_allocation = split
+        self._step_count = t
+        self._last_obs = obs = self._observation(latencies, demand_obs)
         return obs, reward, info

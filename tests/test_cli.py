@@ -544,6 +544,15 @@ def test_sweep_epsilon_checks_every_value_before_the_first_run(dqn_config, tmp_p
     assert not out_dir.exists()
 
 
+def test_sweep_epsilon_rejects_a_repeated_value_before_any_run(dqn_config, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-epsilon", "--config", str(dqn_config), "--values", "0.2,0.1,0.10,1e-1",
+            "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 2
+    assert "epsilon 0.1 is given more than once" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_epsilon_bad_values_exits_2(dqn_config, capsys):
     assert (
         cli.main(["sweep-epsilon", "--config", str(dqn_config), "--values", "a,b"]) == 2

@@ -1,5 +1,7 @@
 """Unit tests for the bandwidth-slicing environment, scores, and baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,65 @@ def test_observation_equals_column_stack_reference():
                 latency = np.array([s.mean_latency for s in stats]) / config.latency_weights
                 demand = np.array([s.arrived for s in stats]) / (b * config.step_duration)
             assert np.array_equal(obs, np.column_stack([k / b, latency, demand]).ravel())
+
+
+# ---------------------------------------------------------------------------
+# The step's scalar arithmetic, pinned bit for bit to the array functions
+
+
+def allocations(config, rng, count):
+    """Seeded splits, with entries above the demand, at the floor, and at 0.0."""
+    b = config.total_bandwidth
+    for n in range(count):
+        k = rng.uniform(0.0, b, config.num_slices)
+        if n % 4 == 1:
+            k[rng.integers(config.num_slices)] = config.k_min[0]
+        elif n % 4 == 2:
+            k[rng.integers(config.num_slices)] = 0.0
+        elif n % 4 == 3:
+            k[:] = b  # above every demand
+        yield k
+
+
+@pytest.mark.parametrize("mode", ["analytic", "emulated"])
+def test_step_scores_and_reward_equal_the_score_functions_and_utility(mode):
+    if mode == "analytic":  # both demand regimes: the change falls after step 60
+        config = default_analytic_config()
+        config.demand_changes = {60: np.array([0.5, 1.5, 0.1])}
+    else:
+        config = default_emulated_config()
+    env = SlicingEnv(config, rng=np.random.default_rng(31))
+    env.reset()
+    zeros = 0
+    for k in allocations(config, np.random.default_rng(32), 120):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, reward, info = env.step_allocation(k)
+            if mode == "analytic":
+                demands = config.demands_at(env.step_count)
+                assert info["demands"] is demands
+                expected = score_analytic(k, demands, config.ideal_scores)
+            else:
+                stats = info["stats"]
+                expected = score_emulated([s.completed for s in stats],
+                                          [s.mean_latency for s in stats],
+                                          [s.video_flag for s in stats], config)
+            u = utility(expected)
+        assert info["scores"].dtype == np.float64
+        assert info["scores"].tobytes() == expected.tobytes()
+        assert reward.hex() == u.hex()
+        assert info["k"].tobytes() == k.tobytes()
+        zero_score = bool((expected <= 0).any())
+        zeros += zero_score
+        # The step warns as utility does: once for the step, once for the reference.
+        assert len(caught) == 2 * zero_score
+    if mode == "analytic":
+        assert zeros > 0
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_utility_equals_np_prod_bit_for_bit(length):
+    rng = np.random.default_rng(33 + length)
+    for _ in range(20_000 if length < 8 else 2_000):
+        c = rng.random(length) * 10.0 ** rng.uniform(-3, 3, length)
+        assert utility(c).hex() == float(np.prod(c)).hex()
