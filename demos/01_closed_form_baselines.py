@@ -4,8 +4,11 @@
 Two allocation problems, two exact answers:
 
 * Bandwidth slicing: the utility is a product of concave per-slice scores, so
-  the optimum is a water-filling allocation found by bisection. We print it
-  for both demand regimes and compare against the naive even split.
+  the optimum is a water-filling allocation: one common level between each
+  slice's floor and its useful top, interpolated between the two kinks of the
+  piecewise-linear spend curve around the budget, so the budget is spent to a
+  few ulps. We print it for both demand regimes and compare against the naive
+  even split.
 * Task offloading: with a small joint-action catalog, the per-slot optimum is
   a brute-force scan. We print the best routing for the fixed four-server
   instance.

@@ -15,8 +15,8 @@ Two score modes:
   ``l``, and a video-completion flag ``f``).
 
 Baselines: ``water_fill_optimal`` maximizes the product of analytic scores
-exactly (common water level with floors and caps), ``sra`` is the static even
-split.
+exactly (a common water level, interpolated between two kinks of the spend
+curve, that spends the budget to a few ulps), ``sra`` is the static even split.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def map_action(action: Array, config: SliceConfig) -> Array:
     i = config.num_slices
     if a.shape != (i,):
         raise ValueError(f"action must have shape ({i},), got {a.shape}")
-    if np.any(np.abs(a) > 1.0 + 1e-9):
+    if not np.all(np.abs(a) <= 1.0 + 1e-9):  # NaN fails this too
         raise ValueError(f"action components must lie in [-1, 1], got {a}")
     a = np.clip(a, -1.0, 1.0)
     residual = config.total_bandwidth - config.k_min.sum()
@@ -226,8 +226,8 @@ def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Ar
         raise ValueError(
             f"shape mismatch: allocation {k.shape}, demands {d.shape}, ideal {c0.shape}"
         )
-    if (d <= 0).any():
-        raise ValueError("demands must be positive")
+    if not _positive(d):
+        raise ValueError("demands must be positive and finite")
     if (k < 0).any():
         raise ValueError("allocations must be non-negative")
     return (np.minimum(k, d) / d) ** SCORE_EXPONENT / c0
@@ -267,37 +267,32 @@ def utility(scores: Array) -> float:
 def water_fill_optimal(demands: Array, config: SliceConfig) -> Array:
     """Allocation maximizing the product of analytic scores.
 
-    The optimum equalizes effective allocations at a common level ``nu``:
-    ``k_i = clip(min(nu, d_i), k_min_i, k_max_i)``, with ``nu`` found by
-    bisection so the budget is spent — unless every demand can be met inside
-    the caps, in which case the saturating allocation is returned and the
-    leftover budget stays idle.
+    Every slice gets a common level ``nu`` clipped to its floor and its useful top
+    ``clip(d_i, k_min_i, k_max_i)``; tops that fit in the budget are returned as they
+    are. Otherwise the spend, piecewise linear in ``nu`` with kinks at the floors and
+    tops (Boyd & Vandenberghe §5.5.3), is evaluated at every kink, and ``nu`` is
+    interpolated between the two kinks around ``B``: the split spends ``B`` to a few ulps.
     """
     d = np.asarray(demands, dtype=float)
     i = config.num_slices
     if d.shape != (i,):
         raise ValueError(f"demands must have shape ({i},), got {d.shape}")
-    if np.any(d <= 0):
-        raise ValueError("demands must be positive")
+    if not _positive(d):
+        raise ValueError("demands must be positive and finite")
     b = config.total_bandwidth
-    saturated = np.clip(d, config.k_min, config.k_max)
-    if saturated.sum() <= b:
-        return saturated
-
-    def spent(nu: float) -> float:
-        return float(np.clip(np.minimum(nu, d), config.k_min, config.k_max).sum())
-
-    lo, hi = 0.0, float(d.max())
-    for _ in range(500):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if spent(mid) < b:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
-    return np.clip(np.minimum(nu, d), config.k_min, config.k_max)
+    top = np.clip(d, config.k_min, config.k_max)
+    if top.sum() <= b:
+        return top
+    kinks = np.concatenate((config.k_min, top))
+    spend = np.clip(kinks[:, None], config.k_min, top).sum(axis=1)
+    reach = spend >= b
+    if reach.all():  # the floors alone spend B
+        return config.k_min.copy()
+    # No kink lies between these two, so the spend is linear from one to the other.
+    lo, hi = kinks[~reach].max(), kinks[reach].min()
+    s_lo, s_hi = spend[~reach].max(), spend[reach].min()
+    nu = lo + (b - s_lo) * (hi - lo) / (s_hi - s_lo)
+    return np.clip(nu, config.k_min, top)
 
 
 def sra(config: SliceConfig) -> Array:

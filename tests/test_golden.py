@@ -2,6 +2,7 @@
 
 Demos 02, 03, 04 and 05 are rerun in a scratch directory, and every file they
 write must equal, byte for byte, its committed copy under ``demo-output/``.
+Demos 01 and 06 write nothing; they are run and their printed figures checked.
 Any change to the numerics, the environments, the seeding or the metrics
 writer that alters a single output bit fails here. Tiny seeded runs through
 the branches the demos do not reach, and the oracle report, are pinned the
@@ -56,13 +57,39 @@ def test_demo_reproduces_committed_outputs(demo, tmp_path, monkeypatch):
         assert fresh == (GOLDEN / name).read_bytes(), f"{name} differs from demo-output/{name}"
 
 
+# Demo -> lines its stdout must contain.
+PRINTING_DEMOS = {
+    "01_closed_form_baselines": [
+        "water-filling k = [0.7, 0.7, 0.1]",
+        "improvement ratio = 2.0964",
+        "water-filling k = [0.5, 0.9, 0.1]",
+        "improvement ratio = 1.9090",
+    ],
+    "06_traffic_emulation": [
+        "mean utility over 60 steps: 2.0400",
+        "mean utility over 60 steps: 2.3528",
+        "mean utility over 60 steps: 1.9111",
+    ],
+}
+
+
+@pytest.mark.parametrize("demo", sorted(PRINTING_DEMOS))
+def test_printing_demo_shows_its_figures(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(REPO / "demos" / f"{demo}.py"), run_name="__main__")
+    printed = capsys.readouterr().out
+    for line in PRINTING_DEMOS[demo]:
+        assert line in printed
+    assert not any(tmp_path.iterdir())
+
+
 # Tiny runs through the branches the demos leave out: TD3 eval slots, emulated
 # TD3 and SRA (once with every slice behind, so earlier files' last video
 # chunks finish in later cycles), RRA and the optimum on both MEC presets and on
 # mec-seven with fast links, DQN eval slots on mec-seven, and the oracle report:
 # 17 digests. Each is the
 # sha256 of the metrics file, or of the sorted-key JSON of the oracle report,
-# as first recorded.
+# as recorded when its output last changed.
 TINY_TD3 = {
     "actor_hidden": [16],
     "critic_hidden": [16],
@@ -151,7 +178,7 @@ RUNS = {
     ),
     "slicing-optimal-analytic": (
         _payload("slicing", "optimal", SHIFTED, 40),
-        "85ebdf4d70ea4df02c95c6633658931165cd0c0f86134ee402832d63aea37aba",
+        "5304e839f4f9af9866c8312bd1e26f428291a4062aec8c302e6488842f6f2c73",
     ),
     "mec-rra-seven": (
         _payload("mec", "rra", "mec-seven", 60),
@@ -189,7 +216,7 @@ RUNS = {
 ORACLES = {
     "oracle-slicing": (
         _payload("slicing", "optimal", SHIFTED),
-        "abaa84f2a22747a28106bfbb47f0d588da3242fa251a553eca0fc721c33a7832",
+        "526d2f29784f523a76bacc60d4111fa0d8e108f777fbeaf5dd8117c1db7a2694",
     ),
     "oracle-mec-small": (
         _payload("mec", "optimal", "mec-small"),

@@ -136,6 +136,12 @@ def test_map_action_rejects_out_of_range():
         map_action(np.array([2.0, 0.0, 0.0]), config)
     with pytest.raises(ValueError):
         map_action(np.array([0.0, 0.0]), config)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):  # NaN fails every comparison
+        map_action(np.array([np.nan, 0.0, 0.0]), config)
+    env = SlicingEnv(config)
+    env.reset()
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        env.step(np.array([np.nan, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,77 @@ def test_water_fill_saturates_small_demands():
     demands = np.array([0.2, 0.3, 0.1])  # clipped demands fit inside the budget
     k = water_fill_optimal(demands, config)
     np.testing.assert_allclose(k, [0.2, 0.3, 0.1], atol=1e-9)
+
+
+# Five slices whose floors (0.3 on the last) and caps (0.5 on the third) bind for
+# many of the demands drawn below.
+FIVE_SLICES = SliceConfig(
+    total_bandwidth=2.0,
+    k_min=np.array([0.05, 0.1, 0.2, 0.05, 0.3]),
+    k_max=np.array([0.6, 1.0, 0.5, 2.0, 0.9]),
+    ideal_scores=np.ones(5),
+    demands=np.ones(5),
+)
+# Floors that alone spend the budget.
+FLOORS_SPEND_B = SliceConfig(
+    total_bandwidth=1.5,
+    k_min=np.full(3, 0.5),
+    k_max=np.full(3, 1.5),
+    ideal_scores=np.ones(3),
+    demands=np.ones(3),
+)
+
+
+def _assert_exact_water_fill(k, demands, config):
+    """Water-fill structure, and a spent budget whenever the useful tops exceed it."""
+    b = config.total_bandwidth
+    floor, top = config.k_min, np.clip(demands, config.k_min, config.k_max)
+    assert np.all((floor <= k) & (k <= top))
+    if top.sum() <= b:  # every demand saturates: the tops, the rest idle
+        np.testing.assert_array_equal(k, top)
+        return
+    assert abs(k.sum() - b) <= 4 * np.spacing(b), k.sum() - b
+    at_floor, at_top = k == floor, k == top
+    level = k[~at_floor & ~at_top]  # slices strictly inside share one level nu
+    assert np.all(level == level[:1])
+    below = top[at_top & ~at_floor]  # a slice held at its top has top <= nu ...
+    above = floor[at_floor & ~at_top]  # ... and one held at its floor has floor >= nu
+    assert max([*below, *level], default=-np.inf) <= min([*above, *level], default=np.inf)
+
+
+@pytest.mark.parametrize(
+    "demands, config",
+    [
+        ([1.0, 1.0, 0.1], default_analytic_config()),
+        ([0.5, 1.5, 0.1], default_analytic_config()),
+        ([1.0, 1.0, 1.0], FLOORS_SPEND_B),  # the floors, which spend B
+        ([1.0, 1.0, 0.01], default_analytic_config()),  # a demand below its floor
+        ([0.4, 0.3, 5.0, 0.8, 0.5], FIVE_SLICES),  # a demand above its cap
+        ([0.01, 0.01, 3.0, 0.01, 0.01], FIVE_SLICES),  # all saturate, at floors and a cap
+    ],
+)
+def test_water_fill_edge_cases_are_exact(demands, config):
+    demands = np.array(demands)
+    k = water_fill_optimal(demands, config)
+    _assert_exact_water_fill(k, demands, config)
+
+
+def test_water_fill_spends_the_budget_exactly_on_seeded_demands():
+    rng = np.random.default_rng(19)
+    for config in (default_analytic_config(), FIVE_SLICES):
+        for _ in range(1500):
+            demands = rng.uniform(0.01, 2.0, config.num_slices)
+            _assert_exact_water_fill(water_fill_optimal(demands, config), demands, config)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_non_finite_or_non_positive_demands_are_rejected(bad):
+    config = default_analytic_config()
+    demands = np.array([bad, 1.0, 0.1])
+    with pytest.raises(ValueError, match="demands must be positive and finite"):
+        water_fill_optimal(demands, config)
+    with pytest.raises(ValueError, match="demands must be positive and finite"):
+        score_analytic(np.full(3, 0.5), demands, config.ideal_scores)
 
 
 def test_sra_even_split_and_reference_utilities():
