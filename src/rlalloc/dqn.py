@@ -41,7 +41,6 @@ class DqnHyperparams:
     batch_size: int = 64
     buffer_capacity: int = 10_000
     exploration_steps: int = 500
-    total_steps: int = 5000
     hidden: tuple[int, ...] = (256, 256)
 
     def __post_init__(self) -> None:

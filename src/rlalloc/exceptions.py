@@ -48,16 +48,16 @@ def hidden_tuples(hp: object, *names: str) -> None:
 
 
 def check_learner(hp: object, count: str, *hidden: str) -> None:
-    """Check the hyperparameter rules TD3 and DQN share; ``count`` names the learner's cadence."""
+    """Check the hyperparameter rules TD3 and DQN share; ``count`` names the learner's cadence.
+
+    The run length is no hyperparameter: the run owns it and caps ``exploration_steps`` at it."""
     for name, minimum in ((count, 1), ("batch_size", 1), ("buffer_capacity", 1),
-                          ("exploration_steps", 0), ("total_steps", 0)):
+                          ("exploration_steps", 0)):
         value = getattr(hp, name)
         if not is_count(value, minimum):
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if hp.buffer_capacity < hp.batch_size:
         raise ValueError("need buffer_capacity >= batch_size")
-    if hp.exploration_steps > hp.total_steps:
-        raise ValueError("need exploration_steps <= total_steps")
     if not all(is_count(h, 1) for name in hidden for h in getattr(hp, name)):
         raise ValueError("hidden layer sizes must be positive integers")
 

@@ -9,12 +9,15 @@ A run is described by a JSON document; any other key is rejected::
       "seed":     0,
       "env":      { ... scenario config ... } | "<preset name>",
       "agent":    { ... hyperparameter overrides ... },   # optional, td3/dqn only
-      "total_steps": 8000,                                 # optional override
+      "total_steps": 8000,                                 # optional: the only run length
       "eval_slots": 0                                      # optional, td3/dqn only
     }
 
 Env presets: ``slicing-analytic``, ``slicing-emulated``, ``mec-seven``,
 ``mec-small``.
+
+Without ``total_steps`` a run takes ``RUN_STEPS[scenario]`` steps, and a learner's
+``exploration_steps`` is capped at the run length.
 
 Metrics are one JSON object per line, built from plain JSON values. The first
 ``total_steps`` records have ``phase: "train"``; a learner's greedy
@@ -59,6 +62,7 @@ from rlalloc.td3 import Td3Agent, Td3Hyperparams
 
 SLICING_POLICIES = ("td3", "sra", "optimal")
 MEC_POLICIES = ("dqn", "rra", "optimal")
+RUN_STEPS = {"slicing": 8000, "mec": 5000}  # a run's length when the config sets no total_steps
 SIZE_CEILING = 10**8  # floats in one network's parameters, or in one replay buffer
 # traffic.ARRIVALS_CEILING bounds a chat slice's mean arrivals at 10**6 packets a step: one step's
 # Poisson draw (standard deviation 10**3) stays about 100x below SIZE_CEILING floats.
@@ -174,9 +178,6 @@ def _hyperparams(config: ExperimentConfig) -> Td3Hyperparams | DqnHyperparams:
     cls = Td3Hyperparams if config.scenario == "slicing" else DqnHyperparams
     try:
         hp = cls(**config.agent_overrides)
-        if config.total_steps is not None:
-            hp.total_steps = config.total_steps
-            hp.exploration_steps = min(hp.exploration_steps, hp.total_steps)
         hp.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid agent hyperparameters: {exc}") from exc
@@ -206,14 +207,18 @@ def _seed_streams(seed: int) -> dict[str, np.random.Generator]:
 class _Run:
     """One run's whole state: seed streams, hyperparameters, env, agent, replay buffer and ``t``.
 
-    The constructor builds all that can reject the config and touches no file; ``step()`` runs
-    the next ``t`` and returns its record. Subclasses add ``_build``, ``_outcome``, ``after_train``.
+    The run owns its schedule (``total`` steps, the first ``explore`` uniform); ``hp`` is None
+    for a baseline. The constructor builds all that can reject the config and touches no file;
+    ``step()`` runs the next ``t`` and returns its record. Subclasses add ``_build``,
+    ``_outcome`` and ``after_train``.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.streams = _seed_streams(config.seed)
-        self.hp = _hyperparams(config)
-        self.steps = self.hp.total_steps + config.eval_slots
+        self.total = total = config.total_steps or RUN_STEPS[config.scenario]  # validated: >= 1
+        self.steps = total + config.eval_slots
+        self.hp = _hyperparams(config) if config.policy in ("td3", "dqn") else None
+        self.explore = 0 if self.hp is None else min(self.hp.exploration_steps, total)
         self.policy = config.policy
         self.agent = None
         self._build(config)
@@ -223,7 +228,7 @@ class _Run:
     def step(self) -> dict:
         hp, agent, obs, streams = self.hp, self.agent, self.obs, self.streams
         self.t = t = self.t + 1
-        mode = "eval" if t > hp.total_steps else "explore" if t <= hp.exploration_steps else "train"
+        mode = "eval" if t > self.total else "explore" if t <= self.explore else "train"
         action = None if agent is None else agent.select_action(obs, mode, streams["action"])
         reward, self.obs, record = self._outcome(t, obs, mode, action)
         if agent is not None and mode != "eval":
@@ -593,6 +598,7 @@ def oracle_report(config: ExperimentConfig, slots: int = 100) -> dict:
     arrivals are fixed).
     """
     config.validate()
+    _SCENARIOS[config.scenario](config)  # rejects what run_experiment rejects; takes no step
     if config.scenario == "slicing":
         env_cfg: SliceConfig = config.env  # type: ignore[assignment]
         if env_cfg.mode != "analytic":

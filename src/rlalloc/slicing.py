@@ -21,6 +21,7 @@ curve, that spends the budget to a few ulps), ``sra`` is the static even split.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -228,7 +229,7 @@ def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Ar
         )
     if not _positive(d):
         raise ValueError("demands must be positive and finite")
-    if (k < 0).any():
+    if not (k >= 0).all():  # NaN fails this comparison too
         raise ValueError("allocations must be non-negative")
     return (np.minimum(k, d) / d) ** SCORE_EXPONENT / c0
 
@@ -378,11 +379,11 @@ class SlicingEnv:
         if k.shape != (cfg.num_slices,):
             raise ValueError(f"allocation must have shape ({cfg.num_slices},), got {k.shape}")
         split = k.tolist()
+        if not all(0.0 <= x < math.inf for x in split):  # NaN fails both comparisons
+            raise ValueError("allocations must be non-negative and finite")
         b = cfg.total_bandwidth
         t = self._step_count + 1
         if cfg.mode == "analytic":
-            if any(x < 0.0 for x in split):
-                raise ValueError("allocations must be non-negative")
             demands_now = cfg.demands_at(t)
             served = [min(x, d) / d for x, d in zip(split, demands_now.tolist())]
             scores = np.array(served) ** SCORE_EXPONENT / cfg.ideal_scores

@@ -48,7 +48,6 @@ class Td3Hyperparams:
     batch_size: int = 64
     buffer_capacity: int = 100_000
     exploration_steps: int = 40
-    total_steps: int = 8000
     actor_hidden: tuple[int, ...] = (256, 256, 256)
     critic_hidden: tuple[int, ...] = (256, 256)
 

@@ -114,7 +114,7 @@ class FluidQueue:
 
     def serve(self, budget: float) -> tuple[list[int], float]:
         """Drain up to ``budget``; returns the finished requests' arrival steps and the amount."""
-        if budget < 0:
+        if not budget >= 0:  # NaN fails this comparison too
             raise ValueError(f"service budget must be non-negative, got {budget}")
         served = 0.0
         done: list[int] = []
@@ -189,7 +189,7 @@ class SliceTraffic:
 
     def advance(self, bandwidth: float, rng: np.random.Generator) -> StepStats:
         """Generate this step's arrivals, then drain at ``bandwidth``."""
-        if bandwidth < 0:
+        if not bandwidth >= 0:  # NaN fails this comparison too
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth}")
         step = self._step
         arrived = 0.0

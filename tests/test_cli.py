@@ -250,6 +250,11 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
         ({"scenario": "slicing", "policy": "td3", "total_steps": 1000, "eval_slots": 1,
           "env": dict(EMULATED_ENV, services=[VIDEO, VOICE, {**CHAT, "mean_arrivals": 1e4}])},
          "chat mean_arrivals 10000.0 over 1001 steps may queue above the ceiling of 10000000"),
+        # The run length is the config's top-level total_steps alone; agent does not take one.
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"total_steps": 0, "exploration_steps": 0}}, "total_steps"),
+        ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "total_steps": 3,
+          "agent": {"total_steps": 600}}, "total_steps"),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -265,7 +270,8 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "services-string", "services-ints", "arrivals-int", "topology-list",
          "td3-critic-hidden-huge", "td3-actor-hidden-huge", "td3-buffer-huge",
          "dqn-hidden-huge", "dqn-buffer-huge", "service-without-kind", "mec-without-topology",
-         "mec-without-arrivals", "chat-backlog-huge"],
+         "mec-without-arrivals", "chat-backlog-huge", "td3-agent-total-steps",
+         "dqn-agent-total-steps"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)
@@ -275,6 +281,28 @@ def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, ca
     assert err.startswith("config error:") and named in err
     assert err.count("\n") == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"momentum": 0.9}}, "momentum"),
+        ({"scenario": "mec", "policy": "dqn", "env": "mec-small",
+          "agent": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"critic_hidden": [10**12]}}, "agent.critic_hidden needs"),
+    ],
+    ids=["td3-momentum", "dqn-lr-nan", "td3-critic-hidden-huge"],
+)
+def test_oracle_rejects_what_run_rejects(payload, named, tmp_path, capsys):
+    config = write_config(tmp_path, "bad.json", payload)
+    assert cli.main(["oracle", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "m.jsonl")]) == 2
+    assert capsys.readouterr().err == captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_rejected_config_leaves_a_stale_out_untouched(tmp_path, capsys):
@@ -489,7 +517,7 @@ def test_plot_empty_metrics_file_writes_header_only(metrics_dir, capsys):
     for kind, header in [("allocation", ["step"]), ("scores", ["step"]),
                          ("latency", ["slot", "L_max"])]:
         assert cli.main(["plot", "--kind", kind, "empty.jsonl"]) == 0
-        assert list(csv.reader(open(f"empty-{kind}.csv"))) == [header]
+        assert list(csv.reader(Path(f"empty-{kind}.csv").read_text().splitlines())) == [header]
     capsys.readouterr()
 
 
@@ -499,7 +527,7 @@ def test_plot_subcommand(sra_config, tmp_path, capsys):
     out = tmp_path / "alloc.csv"
     assert cli.main(["plot", "--kind", "allocation", str(metrics), "--out", str(out)]) == 0
     capsys.readouterr()
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["step", "share_1", "share_2", "share_3"]
     assert len(rows) == 21
 
@@ -668,7 +696,7 @@ def test_later_record_without_its_keys_exits_2(argv, named, metrics_dir, capsys)
 
 def test_plot_out_creates_its_directory(metrics_dir, capsys):
     assert cli.main(["plot", "--kind", "scores", "slicing.jsonl", "--out", "nodir/deep/x.csv"]) == 0
-    rows = list(csv.reader(open("nodir/deep/x.csv")))
+    rows = list(csv.reader(Path("nodir/deep/x.csv").read_text().splitlines()))
     assert rows[0] == ["step", "c_1", "c_2", "c_3", "U"] and len(rows) == 21
     assert cli.main(["plot", "--kind", "latency", "slicing.jsonl", "--out", "other/x.csv"]) == 2
     assert not (metrics_dir / "other").exists()

@@ -15,7 +15,6 @@ def tiny_hp(**overrides):
         batch_size=4,
         buffer_capacity=16,
         exploration_steps=2,
-        total_steps=10,
         target_sync_period=3,
     )
     defaults.update(overrides)

@@ -236,10 +236,27 @@ def test_unknown_agent_override_raises():
 
 
 def test_total_steps_caps_exploration():
-    cfg = slicing_config(policy="td3", total_steps=3)
-    hp = _hyperparams(cfg)
-    assert hp.total_steps == 3
-    assert hp.exploration_steps == 3
+    cfg = slicing_config(policy="td3", total_steps=3)  # TINY_TD3 explores for 5 steps
+    run = harness_mod._Slicing(cfg)
+    assert (run.total, run.explore, run.hp.exploration_steps) == (3, 3, 5)
+    explicit = replace(cfg, agent_overrides=dict(TINY_TD3, exploration_steps=10**6))
+    assert harness_mod._Slicing(explicit).explore == 3
+    assert harness_mod._Slicing(replace(explicit, total_steps=None)).explore == 8000
+    dqn = replace(mec_config("dqn"), agent_overrides={"hidden": [8]})  # DQN's default: 500
+    run = harness_mod._Mec(dqn)
+    assert (run.total, run.steps, run.explore, run.hp.exploration_steps) == (20, 20, 20, 500)
+
+
+@pytest.mark.parametrize("name, steps", [("slicing-sra", 8000), ("mec-rra", 5000)])
+def test_baseline_run_takes_the_default_length_and_builds_no_hyperparameters(
+    name, steps, tmp_path
+):
+    config = ExperimentConfig.from_json(REPO / "configs" / f"{name}.json")
+    assert config.total_steps is None
+    run = harness_mod._SCENARIOS[config.scenario](config)
+    assert (run.hp, run.agent, run.total, run.explore, run.steps) == (None, None, steps, 0, steps)
+    assert harness_mod.RUN_STEPS[config.scenario] == steps
+    assert len(load_metrics(run_experiment(config, tmp_path / "m.jsonl"))) == steps
 
 
 def test_from_json_errors(tmp_path):
@@ -455,7 +472,7 @@ def test_compare_guards(tmp_path):
 def test_plot_allocation_csv(tmp_path):
     path = run_experiment(slicing_config("sra"), tmp_path / "sra.jsonl")
     out = emit_plot_data([path], "allocation", tmp_path / "alloc.csv")
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["step", "share_1", "share_2", "share_3"]
     assert len(rows) == 21
     shares = [float(v) for v in rows[1][1:]]
@@ -465,7 +482,7 @@ def test_plot_allocation_csv(tmp_path):
 def test_plot_scores_csv(tmp_path):
     path = run_experiment(slicing_config("optimal"), tmp_path / "opt.jsonl")
     out = emit_plot_data([path], "scores", tmp_path / "scores.csv")
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["step", "c_1", "c_2", "c_3", "U"]
     assert float(rows[1][-1]) == pytest.approx(U_OPT_PRE, abs=1e-9)
 
@@ -473,7 +490,7 @@ def test_plot_scores_csv(tmp_path):
 def test_plot_latency_csv(tmp_path):
     path = run_experiment(mec_config("optimal"), tmp_path / "opt.jsonl")
     out = emit_plot_data([path], "latency", tmp_path / "lat.csv")
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["slot", "L_max"]
     assert len(rows) == 21
 
@@ -482,7 +499,7 @@ def test_plot_empty_metrics_yields_header_only(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     out = emit_plot_data([empty], "allocation", tmp_path / "empty.csv")
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows == [["step"]]
 
 
@@ -512,7 +529,7 @@ def test_sweep_epsilon_shares_arrivals(tmp_path):
         assert rec_a["arrivals"] == rec_b["arrivals"]
     assert runs[0][-1]["epsilon"] == pytest.approx(0.2)
     assert runs[1][-1]["epsilon"] == pytest.approx(0.8)
-    csv_rows = list(csv.reader(Path(result["csv_path"]).open()))
+    csv_rows = list(csv.reader(Path(result["csv_path"]).read_text().splitlines()))
     assert csv_rows[0] == ["slot", "L_max_eps_0.2", "L_max_eps_0.8"]
     assert len(csv_rows) == 41
 

@@ -144,6 +144,26 @@ def test_map_action_rejects_out_of_range():
         env.step(np.array([np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("mode", ["analytic", "emulated"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+def test_step_allocation_rejects_a_bad_entry_before_any_state_changes(mode, bad):
+    config = default_analytic_config() if mode == "analytic" else default_emulated_config()
+    env, fresh = SlicingEnv(config, rng=5), SlicingEnv(config, rng=5)
+    env.reset(), fresh.reset()
+    with pytest.raises(ValueError, match="^allocations must be non-negative and finite$"):
+        env.step_allocation(np.array([0.5, bad, 0.5]))  # the first slice is valid
+    assert env.step_count == 0
+    obs, reward, _ = env.step_allocation(np.full(3, 0.5))
+    fresh_obs, fresh_reward, _ = fresh.step_allocation(np.full(3, 0.5))
+    assert obs.tobytes() == fresh_obs.tobytes() and reward == fresh_reward
+
+
+def test_score_analytic_rejects_a_nan_allocation():
+    config = default_analytic_config()
+    with pytest.raises(ValueError, match="^allocations must be non-negative$"):
+        score_analytic(np.array([np.nan, 0.5, 0.5]), config.demands, config.ideal_scores)
+
+
 # ---------------------------------------------------------------------------
 # Scores and utility
 

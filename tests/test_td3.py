@@ -19,7 +19,6 @@ def tiny_hp(**overrides):
         batch_size=4,
         buffer_capacity=16,
         exploration_steps=2,
-        total_steps=10,
     )
     defaults.update(overrides)
     return Td3Hyperparams(**defaults)

@@ -175,6 +175,10 @@ def test_advance_rejects_negative_bandwidth():
     tr = SliceTraffic(ServiceProfile.voice(0.3))
     with pytest.raises(ValueError):
         tr.advance(bandwidth=-1.0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^bandwidth must be non-negative, got nan$"):
+        tr.advance(bandwidth=float("nan"), rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^service budget must be non-negative, got nan$"):
+        FluidQueue().serve(float("nan"))
 
 
 def test_short_mean_equals_numpy_mean_bit_for_bit():
