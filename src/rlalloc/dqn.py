@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged, check_learner, check_mode, hidden_tuples, is_real
+from rlalloc.exceptions import (
+    FINITE, HIDDEN, UNIT, TrainingDiverged, check_learner, check_mode, count, spec,
+)
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -34,28 +36,16 @@ Array = np.ndarray
 class DqnHyperparams:
     """Training constants; defaults are the offloading-benchmark settings."""
 
-    learning_rate: float = 1e-3
-    discount: float = 0.99
-    epsilon: float = 0.1
-    target_sync_period: int = 100
-    batch_size: int = 64
-    buffer_capacity: int = 10_000
-    exploration_steps: int = 500
-    hidden: tuple[int, ...] = (256, 256)
+    learning_rate: float = spec(FINITE, 1e-3)
+    discount: float = spec(UNIT, 0.99)
+    epsilon: float = spec(UNIT, 0.1)
+    target_sync_period: int = spec(count(1), 100)
+    batch_size: int = spec(count(1), 64)
+    buffer_capacity: int = spec(count(1), 10_000)
+    exploration_steps: int = spec(count(0), 500)  # the run caps it at its length
+    hidden: tuple[int, ...] = spec(HIDDEN, (256, 256))
 
-    def __post_init__(self) -> None:
-        hidden_tuples(self, "hidden")
-
-    def validate(self) -> None:
-        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
-        lr = self.learning_rate
-        if not (is_real(lr) and 0 < lr < np.inf):
-            raise ValueError(f"learning_rate must be positive and finite, got {lr!r}")
-        for name in ("discount", "epsilon"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 <= value <= 1):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        check_learner(self, "target_sync_period", "hidden")
+    validate = __post_init__ = check_learner
 
 
 class DqnAgent:

@@ -53,7 +53,9 @@ import numpy as np
 from rlalloc import mec as mec_mod
 from rlalloc import slicing as slicing_mod
 from rlalloc.dqn import DqnAgent, DqnHyperparams
-from rlalloc.exceptions import ConfigError, is_count, is_real
+from rlalloc.exceptions import (
+    OBJECT, ConfigError, check_fields, config_from_dict, count, is_real, one_of, spec,
+)
 from rlalloc.mec import MecConfig, MecEnv
 from rlalloc.numerics import _flat_size
 from rlalloc.replay import ReplayBuffer
@@ -78,87 +80,41 @@ ENV_PRESETS: dict[str, Callable[[], SliceConfig | MecConfig]] = {
 
 @dataclass
 class ExperimentConfig:
-    scenario: str
-    policy: str
-    seed: int
-    env: SliceConfig | MecConfig
-    agent_overrides: dict
-    total_steps: int | None = None
-    eval_slots: int = 0
+    scenario: str = spec(one_of(("slicing", "mec")))
+    policy: str = spec(one_of(("td3", "sra", "optimal", "dqn", "rra")))  # see validate
+    env: SliceConfig | MecConfig = spec()  # or, until validate, a preset name or a dict
+    seed: int = spec(count(0), 0)
+    agent_overrides: dict = spec(OBJECT, factory=dict, reads=("td3", "dqn"), key="agent")
+    total_steps: int | None = spec(count(1), None)
+    eval_slots: int = spec(count(0), 0, reads=("td3", "dqn"))
 
     def validate(self) -> None:
-        if not is_count(self.seed, 0):
-            raise ConfigError(f"'seed' must be a non-negative integer, got {self.seed!r}")
-        if not is_count(self.eval_slots, 0):
-            raise ConfigError(f"'eval_slots' must be an integer >= 0, got {self.eval_slots!r}")
-        if self.eval_slots and self.policy not in ("td3", "dqn"):
-            raise ConfigError("eval_slots only applies to learning policies (td3/dqn)")
-        if self.agent_overrides and self.policy not in ("td3", "dqn"):
-            raise ConfigError("agent overrides only apply to learning policies (td3/dqn)")
-        if self.scenario not in ("slicing", "mec"):
-            raise ConfigError(f"scenario must be 'slicing' or 'mec', got {self.scenario!r}")
-        slicing = self.scenario == "slicing"
-        policies = SLICING_POLICIES if slicing else MEC_POLICIES
+        """Check each field's rule and the scenario's policies, then build and check the env."""
+        check_fields(self, "policy")
+        policies = SLICING_POLICIES if self.scenario == "slicing" else MEC_POLICIES
         if self.policy not in policies:
             raise ConfigError(
                 f"{self.scenario} policy must be one of {policies}, got {self.policy!r}"
             )
-        if not isinstance(self.env, SliceConfig if slicing else MecConfig):
-            raise ConfigError(f"scenario {self.scenario!r} needs a {self.scenario} env config")
-        if self.total_steps is not None and not is_count(self.total_steps, 1):
-            raise ConfigError(f"total_steps must be an integer >= 1, got {self.total_steps!r}")
+        env_class = SliceConfig if self.scenario == "slicing" else MecConfig
+        if isinstance(self.env, str) and self.env in ENV_PRESETS:
+            self.env = ENV_PRESETS[self.env]()
+        if not isinstance(self.env, (dict, SliceConfig, MecConfig)):
+            raise ConfigError(f"env must be a preset name in {sorted(ENV_PRESETS)} or a config "
+                              f"object, got {self.env!r}")
         try:
+            self.env = env_class.from_dict(self.env) if isinstance(self.env, dict) else self.env
             self.env.validate()
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid env config: {exc}") from exc
+        if not isinstance(self.env, env_class):
+            raise ConfigError(f"scenario {self.scenario!r} needs a {self.scenario} env config")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ConfigError("experiment config must be a JSON object")
-        unknown = set(payload) - {
-            "scenario", "policy", "seed", "env", "agent", "total_steps", "eval_slots"
-        }
-        if unknown:
-            raise ConfigError(f"unknown config key(s) {sorted(unknown)}")
-        try:
-            scenario = payload["scenario"]
-            policy = payload["policy"]
-        except KeyError as exc:
-            raise ConfigError(f"missing required key {exc.args[0]!r}") from exc
-        env_spec = payload.get("env")
-        if isinstance(env_spec, str):
-            if env_spec not in ENV_PRESETS:
-                raise ConfigError(
-                    f"unknown env preset {env_spec!r}; available: {sorted(ENV_PRESETS)}"
-                )
-            env: SliceConfig | MecConfig = ENV_PRESETS[env_spec]()
-        elif isinstance(env_spec, dict):
-            try:
-                if scenario == "slicing":
-                    env = SliceConfig.from_dict(env_spec)
-                elif scenario == "mec":
-                    env = MecConfig.from_dict(env_spec)
-                else:
-                    raise ConfigError(f"unknown scenario {scenario!r}")
-            except KeyError as exc:  # a required field read as payload[key]
-                raise ConfigError(f"invalid env config: missing required key {exc}") from exc
-            except (LookupError, TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid env config: {exc}") from exc
-        else:
-            raise ConfigError("'env' must be a preset name or a config object")
-        overrides = payload.get("agent", {})
-        if not isinstance(overrides, dict):
-            raise ConfigError("'agent' must be an object of hyperparameter overrides")
-        config = cls(
-            scenario=scenario,
-            policy=policy,
-            seed=payload.get("seed", 0),
-            env=env,
-            agent_overrides=dict(overrides),
-            total_steps=payload.get("total_steps"),
-            eval_slots=payload.get("eval_slots", 0),
-        )
+        config = config_from_dict(cls, payload)
         config.validate()
         return config
 
@@ -177,10 +133,12 @@ class ExperimentConfig:
 def _hyperparams(config: ExperimentConfig) -> Td3Hyperparams | DqnHyperparams:
     cls = Td3Hyperparams if config.scenario == "slicing" else DqnHyperparams
     try:
-        hp = cls(**config.agent_overrides)
-        hp.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid agent hyperparameters: {exc}") from exc
+        hp = config_from_dict(cls, config.agent_overrides)
+    except ValueError as exc:
+        text, key = str(exc), getattr(exc, "field", None)
+        if key is not None:  # name the agent key, as _check_sizes does
+            text = f"agent.{text}" if text.startswith(f"{key} must") else f"agent.{key}: {text}"
+        raise ConfigError(f"invalid agent hyperparameters: {text}") from exc
     return hp
 
 

@@ -36,7 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlalloc.exceptions import ConfigError, _vector, config_dict, is_real
+from rlalloc.exceptions import (
+    FINITE, MATRIX, NON_NEGATIVES, POSITIVES, ConfigError, Rule, check_fields,
+    config_dict, config_from_dict, is_real, nested, one_of, spec,
+)
 
 Array = np.ndarray
 
@@ -75,57 +78,43 @@ def latency_offload(
     return tau + overflow / link_rate + cycles_per_bit * overflow / target_capacity
 
 
+def _server_ids(name: str, neighbors: object) -> tuple[tuple[int, ...], ...]:
+    try:  # operator.index takes integers only: a neighbor id of 1.9 is an error, not 1.
+        return tuple(tuple(sorted(map(operator.index, ns))) for ns in neighbors)
+    except TypeError:
+        raise ConfigError(f"{name} must be lists of server ids, got {neighbors!r}", name)
+
+
 @dataclass
 class EdgeTopology:
     """Servers, adjacency, and rate constants for one deployment."""
 
-    capacities: Array
-    neighbors: tuple[tuple[int, ...], ...]
-    link_rates: Array  # (I, I); entry (i, j) used when i offloads to j
-    core_rate: float
-    tau: float
-    cycles_per_bit: float
+    capacities: Array = spec(POSITIVES)  # sets the server count I
+    neighbors: tuple[tuple[int, ...], ...] = spec(Rule(per=1, convert=_server_ids))
+    link_rates: Array = spec(MATRIX)  # (I, I); entry (i, j) used when i offloads to j
+    core_rate: float = spec(FINITE)
+    tau: float = spec(FINITE)
+    cycles_per_bit: float = spec(FINITE)
     # Derived from neighbors, not a constructor argument: (CORE, *neighbors) per server.
     routing_choices: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.capacities = _vector("capacities", self.capacities)
-        try:  # operator.index takes integers only: a neighbor id of 1.9 is an error, not 1.
-            self.neighbors = tuple(tuple(sorted(map(operator.index, ns))) for ns in self.neighbors)
-        except TypeError:
-            raise ValueError(f"neighbors must be lists of server ids, got {self.neighbors!r}")
-        self.link_rates = _vector("link_rates", self.link_rates, ndim=2)
-        self.routing_choices = tuple((CORE, *ns) for ns in self.neighbors)
 
     @property
     def num_servers(self) -> int:
         return self.capacities.shape[0]
 
     def validate(self) -> None:
-        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
-        i = self.num_servers
-        if i < 1:
-            raise ValueError("need at least one server")
-        if not np.all((self.capacities > 0) & (self.capacities < np.inf)):
-            raise ValueError("capacities must be positive and finite")
-        if len(self.neighbors) != i:
-            raise ValueError(f"need one neighbor list per server ({i})")
-        if self.link_rates.shape != (i, i):
-            raise ValueError(f"link_rates must have shape ({i}, {i})")
-        for name in ("core_rate", "tau", "cycles_per_bit"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        """Check each field's rule, then the neighbor lists and the rates of their links."""
+        i = check_fields(self)
+        self.routing_choices = tuple((CORE, *ns) for ns in self.neighbors)
         for a, ns in enumerate(self.neighbors):
             for b in ns:
-                if not 0 <= b < i:
-                    raise ValueError(f"server {a} lists unknown neighbor {b}")
-                if b == a:
-                    raise ValueError(f"server {a} lists itself as a neighbor")
-                if a not in self.neighbors[b]:
-                    raise ValueError(f"adjacency is not symmetric: {a}->{b}")
+                if not 0 <= b < i or b == a or a not in self.neighbors[b]:
+                    raise ValueError(f"neighbors of server {a} list {b}: need another server "
+                                     f"that lists {a} back")
                 if not 0 < self.link_rates[a, b] < np.inf:
-                    raise ValueError(f"link rate for neighbors {a}->{b} must be positive")
+                    raise ValueError(f"link_rates for neighbors {a}->{b} must be positive")
+
+    __post_init__ = validate
 
     def slot_capacity(self) -> Array:
         """Data each server can process within one slot."""
@@ -136,53 +125,34 @@ class EdgeTopology:
     @classmethod
     def from_dict(cls, payload: dict) -> "EdgeTopology":
         fields = dict(payload)
-        if "link_rate" not in fields:
-            return cls(**fields)
-        # Shorthand: the same rate on every link. The constructor converts
-        # capacities and neighbors before the matrix is built from them.
-        if "link_rates" in fields:
-            raise ValueError("give link_rate or link_rates, not both")
-        rate = fields.pop("link_rate")
-        if not is_real(rate):
-            raise ValueError(f"link_rate must be a number, got {rate!r}")
-        topology = cls(link_rates=[[]], **fields)
-        n = topology.num_servers
-        topology.link_rates = np.zeros((n, n))
-        for a, ns in enumerate(topology.neighbors[:n]):  # validate() names ids out of range
-            topology.link_rates[a, [b for b in ns if b < n]] = rate
-        return topology
+        if "link_rate" in fields:  # shorthand: the same rate on every listed link
+            if "link_rates" in fields:
+                raise ValueError("give link_rate or link_rates, not both")
+            rate = fields.pop("link_rate")
+            if not is_real(rate):
+                raise ValueError(f"link_rate must be a number, got {rate!r}")
+            ids = _server_ids("neighbors", fields.get("neighbors"))  # one list per server
+            fields["link_rates"] = np.zeros((len(ids), len(ids)))
+            for a, ns in enumerate(ids):  # validate() names the ids out of range
+                fields["link_rates"][a, [b for b in ns if 0 <= b < len(ids)]] = rate
+        return config_from_dict(cls, fields)
 
 
 @dataclass
 class ArrivalModel:
-    """Per-slot task-data arrivals: fixed vector or independent uniform draws."""
+    """Per-slot task-data arrivals: a fixed vector, or independent uniform draws."""
 
-    kind: str
-    sizes: Array | None = None  # fixed
-    low: Array | None = None  # uniform
-    high: Array | None = None  # uniform
+    kind: str = spec(one_of(("fixed", "uniform")))
+    sizes: Array | None = spec(NON_NEGATIVES, None, reads="fixed")
+    low: Array | None = spec(NON_NEGATIVES, None, reads="uniform")
+    high: Array | None = spec(NON_NEGATIVES, None, reads="uniform")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "uniform"):
-            raise ValueError(f"arrival kind must be 'fixed' or 'uniform', got {self.kind!r}")
-        if self.kind == "fixed":
-            if self.sizes is None or self.low is not None or self.high is not None:
-                raise ValueError("fixed arrivals take a sizes vector only")
-            self.sizes = _vector("sizes", self.sizes)
-            if not np.all((self.sizes >= 0) & (self.sizes < np.inf)):
-                raise ValueError("arrival sizes must be non-negative and finite")
-        else:
-            if self.low is None or self.high is None or self.sizes is not None:
-                raise ValueError("uniform arrivals take low and high vectors only")
-            self.low, self.high = _vector("low", self.low), _vector("high", self.high)
-            if self.low.shape != self.high.shape:
-                raise ValueError("low and high must have matching shapes")
-            if not np.all((0 <= self.low) & (self.low <= self.high) & (self.high < np.inf)):
-                raise ValueError("need 0 <= low <= high < inf")
+    def validate(self, servers: int | None = None) -> None:
+        check_fields(self, "kind", servers)
+        if self.kind == "uniform" and not np.all(self.low <= self.high):
+            raise ValueError("need low <= high")
 
-    @property
-    def num_servers(self) -> int:
-        return (self.sizes if self.kind == "fixed" else self.low).shape[0]
+    __post_init__ = validate
 
     def draw(self, rng: np.random.Generator) -> Array:
         if self.kind == "fixed":
@@ -195,26 +165,28 @@ class ArrivalModel:
         return self.sizes.copy() if self.kind == "fixed" else self.high.copy()
 
     to_dict = config_dict
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ArrivalModel":
-        return cls(**payload)
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclass
 class MecConfig:
     """Topology plus arrival process."""
 
-    topology: EdgeTopology
-    arrivals: ArrivalModel
+    topology: EdgeTopology = spec(nested(EdgeTopology))
+    arrivals: ArrivalModel = spec(nested(ArrivalModel))
 
     def validate(self) -> None:
-        self.topology.validate()
-        if self.arrivals.num_servers != self.topology.num_servers:
-            raise ValueError(
-                f"arrival model covers {self.arrivals.num_servers} servers, "
-                f"topology has {self.topology.num_servers}"
-            )
+        """Check both parts, that they count the same servers, and that latencies stay finite."""
+        check_fields(self)
+        topo = self.topology
+        topo.validate()
+        self.arrivals.validate(topo.num_servers)  # one entry per server
+        with np.errstate(over="ignore"):  # an overflow is the error reported here
+            if not np.all(np.isfinite([*topo.slot_capacity(), self.resolved_latency_ref()])):
+                raise ValueError("tau, capacities and cycles_per_bit, or core_rate, link_rates and "
+                                 "the arrival sizes, overflow the slot capacity or latency bound")
+
+    __post_init__ = validate
 
     def resolved_latency_ref(self) -> float:
         """Normalizer for latency observations: an upper bound on any L_i."""
@@ -226,17 +198,7 @@ class MecConfig:
         return 2.0 * topo.tau + max_s / min(rates)
 
     to_dict = config_dict
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MecConfig":
-        fields = dict(payload)
-        for key, part in (("topology", EdgeTopology), ("arrivals", ArrivalModel)):
-            if not isinstance(fields[key], dict):
-                raise ValueError(f"{key} must be an object, got {fields[key]!r}")
-            fields[key] = part.from_dict(fields[key])
-        config = cls(**fields)
-        config.validate()
-        return config
+    from_dict = classmethod(config_from_dict)
 
 
 def default_mec_config() -> MecConfig:

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import ConfigError, _vector, config_dict, is_real
+from rlalloc.exceptions import (
+    POSITIVE, POSITIVES, ConfigError, Rule, _vector, check_fields, config_dict, config_from_dict,
+    nested, one_of, spec,
+)
 from rlalloc.traffic import ServiceProfile, SliceTraffic
 
 Array = np.ndarray
@@ -39,104 +42,65 @@ SCORE_EXPONENT = 1.1
 MODES = ("analytic", "emulated")
 
 
-def _positive(values: Array) -> bool:
-    """Whether every entry is positive and finite (NaN is neither)."""
-    return bool(np.all((values > 0) & (values < np.inf)))
+def _demand_changes(name: str, changes: object) -> dict:
+    """``demand_changes`` with integer steps (at least 1) and demand vectors."""
+    if not isinstance(changes, dict):
+        raise ConfigError(f"{name} must be an object, got {changes!r}", name)
+    try:
+        steps = [int(step) for step in changes]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} keys must be integer steps, got {list(changes)}", name)
+    if not all(step >= 1 for step in steps):
+        raise ConfigError(f"{name} steps must be >= 1, got {steps}", name)
+    return {step: _vector(f"demand change at step {step}", vec)
+            for step, vec in zip(steps, changes.values())}
 
 
 @dataclass
 class SliceConfig:
-    """Static description of a slicing scenario.
+    """Static description of a slicing scenario; each mode reads its own fields.
 
     ``demand_changes`` maps a 1-based step index ``c`` to a replacement demand
     vector; steps ``> c`` see the new demands (analytic mode only).
     """
 
-    total_bandwidth: float
-    k_min: Array
-    k_max: Array
-    ideal_scores: Array
-    demands: Array | None = None
-    demand_changes: dict[int, Array] = field(default_factory=dict)
-    mode: str = "analytic"
-    services: list[ServiceProfile] | None = None
-    latency_weights: Array | None = None
-    step_duration: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.k_min = _vector("k_min", self.k_min)
-        self.k_max = _vector("k_max", self.k_max)
-        self.ideal_scores = _vector("ideal_scores", self.ideal_scores)
-        if self.demands is not None:
-            self.demands = _vector("demands", self.demands)
-        if not isinstance(self.demand_changes, dict):
-            raise ValueError(f"demand_changes must be an object, got {self.demand_changes!r}")
-        try:
-            steps = [int(step) for step in self.demand_changes]
-        except (TypeError, ValueError):
-            keys = list(self.demand_changes)
-            raise ValueError(f"demand_changes keys must be integer steps, got {keys}")
-        self.demand_changes = {
-            step: _vector(f"demand change at step {step}", vec)
-            for step, vec in zip(steps, self.demand_changes.values())
-        }
-        if self.latency_weights is not None:
-            self.latency_weights = _vector("latency_weights", self.latency_weights)
+    total_bandwidth: float = spec(POSITIVE)
+    k_min: Array = spec(POSITIVES)  # sets the slice count I
+    k_max: Array = spec(POSITIVES)
+    ideal_scores: Array = spec(POSITIVES)
+    demands: Array | None = spec(POSITIVES, None, reads="analytic")
+    demand_changes: dict[int, Array] = spec(Rule(convert=_demand_changes), factory=dict,
+                                            reads="analytic")
+    mode: str = spec(one_of(MODES), "analytic")
+    services: list[ServiceProfile] | None = spec(nested(ServiceProfile, many="service"), None,
+                                                 reads="emulated")
+    latency_weights: Array | None = spec(POSITIVES, None, reads="emulated")
+    step_duration: float = spec(POSITIVE, 1.0, reads="emulated")
 
     @property
     def num_slices(self) -> int:
         return self.k_min.shape[0]
 
     def validate(self) -> None:
-        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
-        i = self.num_slices
-        if i < 1:
-            raise ValueError("need at least one slice")
-        if not (is_real(self.total_bandwidth) and 0 < self.total_bandwidth < np.inf):
-            raise ValueError(f"total_bandwidth must be positive, got {self.total_bandwidth!r}")
-        for name, arr in (("k_max", self.k_max), ("ideal_scores", self.ideal_scores)):
-            if arr.shape != (i,):
-                raise ValueError(f"{name} must have shape ({i},), got {arr.shape}")
-        if not np.all(self.k_min > 0):
-            raise ValueError("k_min entries must be positive")
-        if not np.all(self.k_min <= self.k_max):
-            raise ValueError("k_min must not exceed k_max")
-        if not np.all(self.k_max <= self.total_bandwidth + 1e-12):
-            raise ValueError("k_max must not exceed the total bandwidth")
+        """Check each field's rule, then the rules across fields."""
+        i = check_fields(self, "mode")
+        if not np.all((self.k_min <= self.k_max) & (self.k_max <= self.total_bandwidth + 1e-12)):
+            raise ValueError("need k_min <= k_max <= total_bandwidth")
         if self.k_min.sum() > self.total_bandwidth + 1e-12:
-            raise ValueError("sum of k_min exceeds the total bandwidth: infeasible")
-        if not _positive(self.ideal_scores):
-            raise ValueError("ideal_scores must be positive and finite")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (is_real(self.step_duration) and 0 < self.step_duration < np.inf):
-            raise ValueError(f"step_duration must be positive, got {self.step_duration!r}")
-        if self.mode == "analytic":
-            if self.demands is None or self.demands.shape != (i,):
-                raise ValueError(f"analytic mode needs a demand vector of shape ({i},)")
-            if not _positive(self.demands):
-                raise ValueError("demands must be positive and finite")
-            for step, vec in self.demand_changes.items():
-                if step < 1:
-                    raise ValueError(f"demand-change step must be >= 1, got {step}")
-                if vec.shape != (i,) or not _positive(vec):
-                    raise ValueError(f"demand change at step {step} must be {i} positive values")
-            unread = {
-                "services": self.services is not None,
-                "latency_weights": self.latency_weights is not None,
-                "step_duration": self.step_duration != 1.0,
-            }
-        else:
-            if self.services is None or len(self.services) != i:
-                raise ValueError(f"emulated mode needs one service profile per slice ({i})")
-            if self.latency_weights is None or self.latency_weights.shape != (i,):
-                raise ValueError(f"emulated mode needs latency_weights of shape ({i},)")
-            if not _positive(self.latency_weights):
-                raise ValueError("latency_weights must be positive and finite")
-            unread = {"demands": self.demands is not None, "demand_changes": self.demand_changes}
-        for name, given in unread.items():
-            if given:
-                raise ValueError(f"{self.mode} mode does not read {name!r}; remove it")
+            raise ValueError("sum of k_min exceeds the total_bandwidth: infeasible")
+        regimes = {"demands": self.demands} if self.mode == "analytic" else {}
+        regimes.update((f"demand change at step {s}", v) for s, v in self.demand_changes.items())
+        for name, vec in regimes.items():
+            if vec.shape != (i,) or not POSITIVES.test(vec):
+                raise ValueError(f"{name} must be {i} positive values")
+            with np.errstate(over="ignore"):  # every split's utility lies between these two
+                low, high = (math.prod(score_analytic(k, vec, self.ideal_scores).tolist())
+                             for k in (self.k_min, self.k_max))
+            if not 0 < low <= high < math.inf:
+                raise ValueError(f"{name}, k_min, k_max and ideal_scores give a utility "
+                                 f"outside (0, inf): from {low} to {high}")
+
+    __post_init__ = validate
 
     def demands_at(self, step: int) -> Array:
         """Demand vector in force at 1-based step ``step`` (analytic mode)."""
@@ -149,18 +113,7 @@ class SliceConfig:
         return self.demands if latest is None else self.demand_changes[latest]
 
     to_dict = config_dict
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SliceConfig":
-        fields = dict(payload)
-        services = fields.get("services")
-        if services is not None:
-            if not (isinstance(services, list) and all(isinstance(s, dict) for s in services)):
-                raise ValueError(f"services must be a list of service objects, got {services!r}")
-            fields["services"] = [ServiceProfile.from_dict(s) for s in services]
-        config = cls(**fields)
-        config.validate()
-        return config
+    from_dict = classmethod(config_from_dict)
 
 
 def default_analytic_config() -> SliceConfig:
@@ -227,7 +180,7 @@ def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Ar
         raise ValueError(
             f"shape mismatch: allocation {k.shape}, demands {d.shape}, ideal {c0.shape}"
         )
-    if not _positive(d):
+    if not POSITIVES.test(d):
         raise ValueError("demands must be positive and finite")
     if not (k >= 0).all():  # NaN fails this comparison too
         raise ValueError("allocations must be non-negative")
@@ -278,7 +231,7 @@ def water_fill_optimal(demands: Array, config: SliceConfig) -> Array:
     i = config.num_slices
     if d.shape != (i,):
         raise ValueError(f"demands must have shape ({i},), got {d.shape}")
-    if not _positive(d):
+    if not POSITIVES.test(d):
         raise ValueError("demands must be positive and finite")
     b = config.total_bandwidth
     top = np.clip(d, config.k_min, config.k_max)
@@ -301,7 +254,8 @@ def sra(config: SliceConfig) -> Array:
     share = config.total_bandwidth / config.num_slices
     k = np.full(config.num_slices, share)
     if np.any(k < config.k_min - 1e-12) or np.any(k > config.k_max + 1e-12):
-        raise ConfigError(f"even share {share} violates per-slice bounds")
+        raise ConfigError(f"even share {share} of total_bandwidth violates per-slice bounds "
+                          "k_min/k_max")
     return k
 
 

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlalloc.exceptions import TrainingDiverged, check_learner, check_mode, hidden_tuples, is_real
+from rlalloc.exceptions import (
+    FINITE, HIDDEN, NON_NEGATIVE, UNIT, TrainingDiverged, check_learner, check_mode,
+    count, real, spec,
+)
 from rlalloc.numerics import (
     adam_init,
     adam_step,
@@ -37,38 +40,21 @@ Array = np.ndarray
 class Td3Hyperparams:
     """Training constants; defaults are the slicing-benchmark settings."""
 
-    critic_lr: float = 1e-4
-    actor_lr: float = 2e-4
-    exploration_sigma: float = 0.1
-    smoothing_sigma: float = 0.1
-    smoothing_clip: float = 0.5
-    discount: float = 0.99
-    soft_tau: float = 0.005
-    policy_delay: int = 2
-    batch_size: int = 64
-    buffer_capacity: int = 100_000
-    exploration_steps: int = 40
-    actor_hidden: tuple[int, ...] = (256, 256, 256)
-    critic_hidden: tuple[int, ...] = (256, 256)
+    critic_lr: float = spec(FINITE, 1e-4)
+    actor_lr: float = spec(FINITE, 2e-4)
+    exploration_sigma: float = spec(NON_NEGATIVE, 0.1)
+    smoothing_sigma: float = spec(NON_NEGATIVE, 0.1)
+    smoothing_clip: float = spec(FINITE, 0.5)
+    discount: float = spec(UNIT, 0.99)
+    soft_tau: float = spec(real(lambda v: 0 < v <= 1, "lie in (0, 1]"), 0.005)
+    policy_delay: int = spec(count(1), 2)
+    batch_size: int = spec(count(1), 64)
+    buffer_capacity: int = spec(count(1), 100_000)
+    exploration_steps: int = spec(count(0), 40)  # the run caps it at its length
+    actor_hidden: tuple[int, ...] = spec(HIDDEN, (256, 256, 256))
+    critic_hidden: tuple[int, ...] = spec(HIDDEN, (256, 256))
 
-    def __post_init__(self) -> None:
-        hidden_tuples(self, "actor_hidden", "critic_hidden")
-
-    def validate(self) -> None:
-        # Written as "not (good)" so that NaN, which fails every comparison, fails too.
-        for name in ("critic_lr", "actor_lr", "smoothing_clip"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("exploration_sigma", "smoothing_sigma"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 <= value < np.inf):
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-        if not (is_real(self.discount) and 0 <= self.discount <= 1):
-            raise ValueError(f"discount must lie in [0, 1], got {self.discount!r}")
-        if not (is_real(self.soft_tau) and 0 < self.soft_tau <= 1):
-            raise ValueError(f"soft_tau must lie in (0, 1], got {self.soft_tau!r}")
-        check_learner(self, "policy_delay", "actor_hidden", "critic_hidden")
+    validate = __post_init__ = check_learner
 
 
 class Td3Agent:

@@ -18,59 +18,41 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from rlalloc.exceptions import is_count, is_real
+from rlalloc.exceptions import (
+    POSITIVE, ConfigError, check_fields, config_from_dict, count, is_real, one_of, real, spec,
+)
 
-# The fields each service kind reads; the others keep their defaults.
-_KIND_FIELDS = {
-    "video": ("file_size", "cycle_length", "chunk_count"),
-    "voice": ("packet_size",),
-    "chat": ("mean_arrivals", "size_min", "size_max"),
-}
-SERVICE_KINDS = tuple(_KIND_FIELDS)
+SERVICE_KINDS = ("video", "voice", "chat")
 ARRIVALS_CEILING = 10**6  # a chat slice's mean packets per step; see harness.SIZE_CEILING
 
 
 @dataclass(frozen=True)
 class ServiceProfile:
-    """Arrival-process parameters for one slice's service."""
+    """Arrival-process parameters for one slice's service; each kind reads its own fields."""
 
-    kind: str
-    file_size: float = 0.0  # video: whole file per cycle
-    cycle_length: int = 10  # video: steps per cycle
-    chunk_count: int = 4  # video: chunks at the start of each cycle
-    packet_size: float = 0.0  # voice
-    mean_arrivals: float = 0.0  # chat: Poisson mean per step
-    size_min: float = 0.0  # chat
-    size_max: float = 0.0  # chat
+    kind: str = spec(one_of(SERVICE_KINDS))
+    file_size: float = spec(POSITIVE, 0.0, reads="video")  # whole file per cycle
+    cycle_length: int = spec(count(2), 10, reads="video")  # steps per cycle
+    chunk_count: int = spec(count(1), 4, reads="video")  # chunks at the start of each cycle
+    packet_size: float = spec(POSITIVE, 0.0, reads="voice")
+    mean_arrivals: float = spec(  # Poisson mean per step
+        real(lambda v: 0 <= v <= ARRIVALS_CEILING, f"lie in [0, {ARRIVALS_CEILING}]"), 0.0,
+        reads="chat")
+    size_min: float = spec(default=0.0, reads="chat")  # both sizes: see __post_init__
+    size_max: float = spec(default=0.0, reads="chat")
 
     def __post_init__(self) -> None:
-        # Chained comparisons against inf reject NaN and infinities alike.
-        if self.kind not in SERVICE_KINDS:
-            raise ValueError(f"kind must be one of {SERVICE_KINDS}, got {self.kind!r}")
-        if self.kind == "video":
-            if not (is_real(self.file_size) and 0 < self.file_size < math.inf):
-                raise ValueError(f"video file_size must be positive, got {self.file_size!r}")
-            for name, minimum in (("cycle_length", 2), ("chunk_count", 1)):
-                value = getattr(self, name)
-                if not is_count(value, minimum):
-                    raise ValueError(f"video {name} must be an integer >= {minimum}, got {value!r}")
-            if self.chunk_count > self.cycle_length:
-                raise ValueError("chunk_count must lie in [1, cycle_length]")
-        elif self.kind == "voice":
-            if not (is_real(self.packet_size) and 0 < self.packet_size < math.inf):
-                raise ValueError(f"voice packet_size must be positive, got {self.packet_size!r}")
-        else:
-            mean, sizes = self.mean_arrivals, (self.size_min, self.size_max)
-            if not (is_real(mean) and 0 <= mean <= ARRIVALS_CEILING):
-                raise ValueError(
-                    f"chat mean_arrivals must lie in [0, {ARRIVALS_CEILING}], got {mean!r}"
-                )
-            if not (all(map(is_real, sizes)) and 0 < self.size_min <= self.size_max < math.inf):
-                raise ValueError(f"chat sizes need 0 < size_min <= size_max, got {sizes}")
+        check_fields(self, "kind")
+        if self.kind == "video" and self.chunk_count > self.cycle_length:
+            raise ValueError("chunk_count must lie in [1, cycle_length]")
+        sizes = (self.size_min, self.size_max)
+        if self.kind == "chat" and not (all(map(is_real, sizes)) and 0 < sizes[0] <= sizes[1]
+                                        < math.inf):
+            raise ValueError(f"chat sizes need 0 < size_min <= size_max, got {sizes}")
 
     @classmethod
     def video(cls, file_size: float, cycle_length: int = 10, chunk_count: int = 4) -> "ServiceProfile":
@@ -85,15 +67,17 @@ class ServiceProfile:
         return cls("chat", mean_arrivals=mean_arrivals, size_min=size_min, size_max=size_max)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **{f: getattr(self, f) for f in _KIND_FIELDS[self.kind]}}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata["reads"] is None or self.kind in f.metadata["reads"]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServiceProfile":
-        kind = payload["kind"]
-        unknown = set(payload) - {"kind", *_KIND_FIELDS.get(kind, ())}
-        if unknown:
-            raise ValueError(f"unknown key(s) {sorted(unknown)} for a {kind!r} service")
-        return cls(**payload)
+        """A service from its dict, whose keys are only the fields its kind reads."""
+        profile = config_from_dict(cls, payload)
+        unread = set(payload) - set(profile.to_dict())
+        if unread:
+            raise ConfigError(f"unknown key(s) {sorted(unread)} for kind {profile.kind!r}")
+        return profile
 
 
 class FluidQueue:

@@ -12,7 +12,7 @@ import pytest
 import rlalloc.cli as cli
 from rlalloc.exceptions import TrainingDiverged
 from rlalloc.harness import load_metrics
-from rlalloc.mec import small_contention_config
+from rlalloc.mec import default_mec_config, small_contention_config
 from rlalloc.slicing import SlicingEnv, default_analytic_config, default_emulated_config
 from rlalloc.td3 import Td3Agent
 
@@ -104,6 +104,7 @@ ANALYTIC_ENV = default_analytic_config().to_dict()
 EMULATED_ENV = default_emulated_config().to_dict()
 VIDEO, VOICE, CHAT = EMULATED_ENV["services"]
 MEC_ENV = small_contention_config().to_dict()
+SEVEN_ENV = default_mec_config().to_dict()
 SHORTHAND = {k: v for k, v in MEC_ENV["topology"].items() if k != "link_rates"}
 SHORTHAND["link_rate"] = 500.0  # mec-small links every pair at 500
 UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
@@ -255,6 +256,38 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
           "agent": {"total_steps": 0, "exploration_steps": 0}}, "total_steps"),
         ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "total_steps": 3,
           "agent": {"total_steps": 600}}, "total_steps"),
+        # Rates and sizes whose slot capacity or latency bound overflows float64.
+        *(
+            ({"scenario": "mec", "policy": "rra",
+              "env": {**SEVEN_ENV, "topology": {**SEVEN_ENV["topology"], key: value}}}, key)
+            for key, value in (("tau", 1e308), ("cycles_per_bit", 1e-308), ("core_rate", 1e-308))
+        ),
+        *(
+            ({"scenario": "slicing", "policy": "sra",
+              "env": dict(EMULATED_ENV, services=[VIDEO, {**VOICE, "kind": kind}, CHAT])},
+             "kind must be one of ('video', 'voice', 'chat')")
+            for kind in (["voice"], {"voice": 1}, "abc")
+        ),
+        ({"scenario": "slicing", "policy": "abc", "env": "slicing-analytic", "eval_slots": 5},
+         "policy must be one of"),
+        *(
+            ({"scenario": "mec", "policy": "rra", "env": {**MEC_ENV, part: {**base, key: []}}}, key)
+            for part, base, key in (("topology", MEC_ENV["topology"], "capacities"),
+                                    ("topology", MEC_ENV["topology"], "neighbors"),
+                                    ("arrivals", MEC_ENV["arrivals"], "sizes"))
+        ),
+        ({"scenario": "slicing", "policy": "sra", "env": dict(ANALYTIC_ENV, k_min=[])}, "k_min"),
+        ({"scenario": "slicing", "policy": "sra", "env": dict(ANALYTIC_ENV, demands=[1e308, 1, 1])},
+         "demands, k_min, k_max and ideal_scores give a utility outside (0, inf)"),
+        (
+            {"scenario": "slicing", "policy": "sra",
+             "env": dict(ANALYTIC_ENV, k_max=[0.4, 1.5, 1.5])},
+            "of total_bandwidth violates per-slice bounds k_min/k_max",
+        ),
+        ({"scenario": "slicing", "policy": "td3", "env": "slicing-analytic",
+          "agent": {"actor_hidden": [0]}}, "agent.actor_hidden: hidden layer sizes"),
+        ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {"hidden": [4, 2.0]}},
+         "agent.hidden: hidden layer sizes"),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -271,7 +304,10 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "td3-critic-hidden-huge", "td3-actor-hidden-huge", "td3-buffer-huge",
          "dqn-hidden-huge", "dqn-buffer-huge", "service-without-kind", "mec-without-topology",
          "mec-without-arrivals", "chat-backlog-huge", "td3-agent-total-steps",
-         "dqn-agent-total-steps"],
+         "dqn-agent-total-steps", "tau-overflow", "cycles-per-bit-overflow", "core-rate-overflow",
+         "kind-list", "kind-dict", "kind-abc", "policy-with-eval-slots", "capacities-empty",
+         "neighbors-empty", "sizes-empty", "k-min-empty", "demand-underflow", "sra-names-keys",
+         "td3-hidden-zero", "dqn-hidden-fraction"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)

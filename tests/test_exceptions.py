@@ -1,11 +1,20 @@
-"""The rules both learners share, and the JSON form every env config shares."""
+"""The rules both learners share, the JSON form every env config shares, and the README's
+account of every config field."""
+
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rlalloc.dqn import DqnAgent, DqnHyperparams
-from rlalloc.harness import ENV_PRESETS
+from rlalloc.harness import ENV_PRESETS, ExperimentConfig
+from rlalloc.mec import ArrivalModel, EdgeTopology, MecConfig
+from rlalloc.slicing import SliceConfig
 from rlalloc.td3 import Td3Agent, Td3Hyperparams
+from rlalloc.traffic import ServiceProfile
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Learner -> its hyperparameters, its own cadence field, its hidden-size fields, and a tiny agent.
 LEARNERS = {
@@ -133,3 +142,15 @@ PRESET_DICTS = {
 @pytest.mark.parametrize("preset", sorted(PRESET_DICTS))
 def test_preset_to_dict_is_pinned(preset):
     assert ENV_PRESETS[preset]().to_dict() == PRESET_DICTS[preset]
+
+
+@pytest.mark.parametrize(
+    "cls", [ExperimentConfig, SliceConfig, ServiceProfile, MecConfig, EdgeTopology, ArrivalModel,
+            Td3Hyperparams, DqnHyperparams], ids=lambda cls: cls.__name__,
+)
+def test_every_declared_field_is_in_the_readme_config_section(cls):
+    text = README.read_text()
+    start = text.index("## Experiment configs")
+    section = text[start:text.index("\n## ", start + 1)]
+    keys = [f.metadata["key"] or f.name for f in dataclasses.fields(cls) if "reads" in f.metadata]
+    assert keys and [key for key in keys if f"`{key}`" not in section] == []
