@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -189,6 +190,8 @@ class _Run:
         mode = "eval" if t > self.total else "explore" if t <= self.explore else "train"
         action = None if agent is None else agent.select_action(obs, mode, streams["action"])
         reward, self.obs, record = self._outcome(t, obs, mode, action)
+        if not math.isfinite(reward):
+            raise ConfigError(f"ideal_scores and latency_weights make step {t}'s reward {reward}")
         if agent is not None and mode != "eval":
             self.buffer.push(obs, action, reward, self.obs)
             trained = None
@@ -244,7 +247,7 @@ class _Slicing(_Run):
             "step": t,
             "phase": "eval" if mode == "eval" else "train",
             "k": info["k"].tolist(),
-            "c": info["scores"].tolist(),
+            "c": info["scores"],
             "U": reward,
             "mode": cfg.mode,
             "policy": self.policy,

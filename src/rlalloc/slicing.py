@@ -31,13 +31,10 @@ from rlalloc.exceptions import (
     POSITIVE, POSITIVES, ConfigError, Rule, _vector, check_fields, config_dict, config_from_dict,
     nested, one_of, spec,
 )
-from rlalloc.traffic import ServiceProfile, SliceTraffic
+from rlalloc.traffic import ServiceProfile, SliceTraffic, StepStats
 
 Array = np.ndarray
 
-# Scores raise an ndarray to this power, never a Python float: NumPy's SIMD ``power`` and
-# float ``**`` round differently on about 5 % of float64 inputs, and the outputs keep
-# NumPy's bits.
 SCORE_EXPONENT = 1.1
 MODES = ("analytic", "emulated")
 
@@ -93,12 +90,20 @@ class SliceConfig:
         for name, vec in regimes.items():
             if vec.shape != (i,) or not POSITIVES.test(vec):
                 raise ValueError(f"{name} must be {i} positive values")
-            with np.errstate(over="ignore"):  # every split's utility lies between these two
-                low, high = (math.prod(score_analytic(k, vec, self.ideal_scores).tolist())
-                             for k in (self.k_min, self.k_max))
+            # Every split's utility lies between these two.
+            low, high = (math.prod(score_analytic(k, vec, self.ideal_scores))
+                         for k in (self.k_min, self.k_max))
             if not 0 < low <= high < math.inf:
                 raise ValueError(f"{name}, k_min, k_max and ideal_scores give a utility "
                                  f"outside (0, inf): from {low} to {high}")
+        if self.mode == "emulated":  # a score's latency term w/l peaks at l = step_duration
+            try:
+                top = score_emulated([StepStats(0, self.step_duration, 0, 0.0, 0.0, 0.0)] * i, self)
+            except OverflowError:
+                top = [math.inf]
+            if not all(map(math.isfinite, top)):
+                raise ValueError("latency_weights, step_duration and ideal_scores give a latency "
+                                 f"term (w / step_duration) ** 1.1 / c0 outside float64: {top}")
 
     __post_init__ = validate
 
@@ -171,8 +176,8 @@ def map_action(action: Array, config: SliceConfig) -> Array:
     return np.minimum(config.k_max, config.k_min + shares)
 
 
-def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Array:
-    """Demand-satisfaction scores ``(min(k, d)/d)**1.1 / c0``."""
+def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> list[float]:
+    """Demand-satisfaction scores ``(min(k, d)/d)**1.1 / c0``, on Python floats (libm ``pow``)."""
     k = np.asarray(allocation, dtype=float)
     d = np.asarray(demands, dtype=float)
     c0 = np.asarray(ideal_scores, dtype=float)
@@ -180,25 +185,21 @@ def score_analytic(allocation: Array, demands: Array, ideal_scores: Array) -> Ar
         raise ValueError(
             f"shape mismatch: allocation {k.shape}, demands {d.shape}, ideal {c0.shape}"
         )
-    if not POSITIVES.test(d):
+    k, d, c0 = k.tolist(), d.tolist(), c0.tolist()
+    if not all([0.0 < v < math.inf for v in d]):  # NaN fails both comparisons
         raise ValueError("demands must be positive and finite")
-    if not (k >= 0).all():  # NaN fails this comparison too
+    if not all([v >= 0.0 for v in k]):  # lists: cheaper than generators at this length
         raise ValueError("allocations must be non-negative")
-    return (np.minimum(k, d) / d) ** SCORE_EXPONENT / c0
+    return [(min(x, y) / y) ** SCORE_EXPONENT / c for x, y, c in zip(k, d, c0)]
 
 
-def score_emulated(completed: Array, latency: Array, video_flag: Array, config: SliceConfig) -> Array:
-    """Traffic-driven scores ``(r + l0/l)**1.1 / c0 + f`` from per-slice measurements."""
-    r = np.asarray(completed, dtype=float)
-    l = np.asarray(latency, dtype=float)
-    f = np.asarray(video_flag, dtype=float)
+def score_emulated(stats: list[StepStats], config: SliceConfig) -> list[float]:
+    """Scores ``(r + w/l)**1.1 / c0 + f`` from a step's ``StepStats``, on Python floats."""
     if config.latency_weights is None:
         raise ValueError("config has no latency_weights: not an emulated-mode config")
-    if (r < 0).any():
-        raise ValueError("completion counts must be non-negative")
-    if (l <= 0).any():
-        raise ValueError("latencies must be positive")
-    return (r + config.latency_weights / l) ** SCORE_EXPONENT / config.ideal_scores + f
+    return [(s.completed + w / s.mean_latency) ** SCORE_EXPONENT / c + s.video_flag
+            for s, w, c in zip(stats, config.latency_weights.tolist(),
+                               config.ideal_scores.tolist(), strict=True)]
 
 
 def utility(scores: Array) -> float:
@@ -207,7 +208,7 @@ def utility(scores: Array) -> float:
     Fewer than eight scores are multiplied left to right as Python floats, which gives
     ``np.prod``'s bits without its per-call cost; longer vectors go to ``np.prod``.
     """
-    c = np.asarray(scores, dtype=float).ravel().tolist()
+    c = list(map(float, scores))
     if any(v <= 0.0 for v in c):
         warnings.warn("non-positive slice score: utility loses its product meaning")
     if len(c) >= 8:
@@ -284,10 +285,6 @@ class SlicingEnv:
     def observation_dim(self) -> int:
         return 3 * self.config.num_slices
 
-    @property
-    def step_count(self) -> int:
-        return self._step_count
-
     def _observation(self, latencies: list[float], demand_obs: list[float]) -> Array:
         obs = [0.0] * (3 * self.config.num_slices)  # per-slice (o, l, d) triples
         b = self.config.total_bandwidth
@@ -320,11 +317,9 @@ class SlicingEnv:
     def step_allocation(self, allocation: Array) -> tuple[Array, float, dict]:
         """Apply a bandwidth split directly (used by the closed-form baselines).
 
-        The scores and the reward are those of ``score_analytic`` or ``score_emulated``
-        and ``utility``, bit for bit. Everything but the power reads the split, the
-        demands and the traffic measurements as Python floats, which costs less than a
-        NumPy call on a vector this short; the power stays an ndarray operation (see
-        ``SCORE_EXPONENT``).
+        The scores come from ``score_analytic`` or ``score_emulated`` and the reward from
+        ``utility``. The step reads the split, the demands and the traffic measurements
+        as Python floats, which costs less than a NumPy call on a vector this short.
         """
         if self._last_obs is None:
             raise RuntimeError("call reset() before stepping the environment")
@@ -338,20 +333,14 @@ class SlicingEnv:
         b = cfg.total_bandwidth
         t = self._step_count + 1
         if cfg.mode == "analytic":
-            demands_now = cfg.demands_at(t)
-            served = [min(x, d) / d for x, d in zip(split, demands_now.tolist())]
-            scores = np.array(served) ** SCORE_EXPONENT / cfg.ideal_scores
+            scores = score_analytic(k, cfg.demands_at(t), cfg.ideal_scores)
             latencies = [0.0] * cfg.num_slices
             demand_obs = [d / b for d in cfg.demands_at(t + 1).tolist()]
-            info = {"k": k, "scores": scores, "demands": demands_now}
+            info = {"k": k, "scores": scores}
         else:
             stats = [tr.advance(x, self._rng) for tr, x in zip(self._traffic, split)]
-            weights = cfg.latency_weights.tolist()
-            base = [s.completed + w / s.mean_latency for s, w in zip(stats, weights)]
-            # Float flags: adding ints would cast through NumPy's 64 KiB buffer, a peak-RSS cost.
-            flags = np.array([s.video_flag for s in stats], dtype=float)
-            scores = np.array(base) ** SCORE_EXPONENT / cfg.ideal_scores + flags
-            latencies = [s.mean_latency / w for s, w in zip(stats, weights)]
+            scores = score_emulated(stats, cfg)
+            latencies = [s.mean_latency / w for s, w in zip(stats, cfg.latency_weights.tolist())]
             scale = b * cfg.step_duration
             demand_obs = [s.arrived / scale for s in stats]
             info = {"k": k, "scores": scores, "stats": stats}

@@ -288,6 +288,13 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
           "agent": {"actor_hidden": [0]}}, "agent.actor_hidden: hidden layer sizes"),
         ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {"hidden": [4, 2.0]}},
          "agent.hidden: hidden layer sizes"),
+        # An emulated score's latency term (w / step_duration) ** 1.1 / c0 outside float64.
+        *(
+            ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, **{key: value})},
+             "latency_weights, step_duration and ideal_scores give a latency term")
+            for key, value in (("latency_weights", [1e308, 1.0, 1.0]),
+                               ("ideal_scores", [1e-308, 2.0, 2.0]))
+        ),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -307,7 +314,8 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "dqn-agent-total-steps", "tau-overflow", "cycles-per-bit-overflow", "core-rate-overflow",
          "kind-list", "kind-dict", "kind-abc", "policy-with-eval-slots", "capacities-empty",
          "neighbors-empty", "sizes-empty", "k-min-empty", "demand-underflow", "sra-names-keys",
-         "td3-hidden-zero", "dqn-hidden-fraction"],
+         "td3-hidden-zero", "dqn-hidden-fraction", "latency-term-overflow",
+         "emulated-ideal-score-underflow"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)
@@ -422,6 +430,28 @@ def test_diverged_run_leaves_only_partial_file(tmp_path, monkeypatch, capsys):
     assert text.endswith("\n")
     # Training starts at step 2 (batch size 2), so the 3rd train call is step 4's.
     assert [json.loads(line)["step"] for line in text.splitlines()] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("policy", ["sra", "td3"])
+def test_non_finite_reward_exits_2_and_leaves_only_partial(policy, tmp_path, capsys):
+    # Every score is about 1e102 times the preset's, so their product stays inside float64
+    # until a step with enough completions: step 31 under SRA, 12 under TD3's exploration.
+    payload = {"scenario": "slicing", "policy": policy, "total_steps": 40,
+               "env": dict(EMULATED_ENV, ideal_scores=[5e-103] * 3)}
+    if policy == "td3":  # explores throughout, so the step, not training, meets the overflow
+        payload["agent"] = {"actor_hidden": [8], "critic_hidden": [8], "exploration_steps": 40,
+                            "buffer_capacity": 64}
+    config = write_config(tmp_path, "huge-scores.json", payload)
+    out = tmp_path / "m.jsonl"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert not out.exists()
+    text = (tmp_path / "m.jsonl.partial").read_text()
+    assert text.endswith("\n") and "Infinity" not in text
+    steps = [json.loads(line)["step"] for line in text.splitlines()]
+    assert len(steps) > 1 and steps == list(range(1, len(steps) + 1))
+    assert err == (f"config error: ideal_scores and latency_weights make step {len(steps) + 1}'s "
+                   "reward inf\n")
 
 
 def test_oracle_subcommand(sra_config, capsys):

@@ -8,23 +8,58 @@ writer that alters a single output bit fails here. Tiny seeded runs through
 the branches the demos do not reach, and the oracle report, are pinned the
 same way by the sha256 of what they write. Two default-size learner runs are
 repeated in child processes with BLAS on one and on two threads, and must write
-the bytes of the in-process run.
+the bytes of the in-process run; every digest is recomputed in a child process
+whose NumPy runs without its AVX-512 loops, and must not change.
+
+``demo-output/PLATFORM.json`` records the platform that made the committed bytes
+(``python tests/test_golden.py`` rewrites it for the running one); a mismatch
+prints it next to the running platform.
 """
 
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rlalloc.harness import ExperimentConfig, oracle_report, run_experiment
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "demo-output"
+PLATFORM = GOLDEN / "PLATFORM.json"
+
+
+def running_platform() -> dict:
+    """What the committed bytes may depend on: NumPy and its SIMD dispatch, the OpenBLAS
+    kernel that runs (null where the library cannot name it) and glibc, whose ``pow``
+    rounds the slice scores."""
+    kernel = None
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            kernel = corename().decode()
+    try:
+        dispatch = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # NumPy before 1.26 has no dict form
+        dispatch = None
+    return {"numpy": np.__version__, "numpy_dispatch": dispatch, "openblas_kernel": kernel,
+            "glibc": platform.libc_ver()[1] or None}
+
+
+def platforms() -> str:
+    """A golden mismatch's note: the recorded platform next to the running one."""
+    return (f"goldens recorded on {json.dumps(json.loads(PLATFORM.read_text()))}, "
+            f"running on {json.dumps(running_platform())}")
+
+
 # Demo script -> the files it writes under demo-output/.
 DEMOS = {
     "02_train_slicing": [
@@ -54,7 +89,8 @@ def test_demo_reproduces_committed_outputs(demo, tmp_path, monkeypatch):
     assert written == sorted(DEMOS[demo])
     for name in DEMOS[demo]:
         fresh = (out / name).read_bytes()
-        assert fresh == (GOLDEN / name).read_bytes(), f"{name} differs from demo-output/{name}"
+        assert fresh == (GOLDEN / name).read_bytes(), (
+            f"{name} differs from demo-output/{name}; {platforms()}")
 
 
 # Demo -> lines its stdout must contain.
@@ -158,23 +194,23 @@ def _payload(scenario, policy, env, steps=None, eval_slots=0, agent=None):
 RUNS = {
     "slicing-td3-analytic-eval": (
         _payload("slicing", "td3", SHIFTED, 60, 15, TINY_TD3),
-        "4f0ea5071130064fc99f491538176a716966c5ee39e40dfc8890627657ebcd33",
+        "18590b4fe8b31405ecb2535f2581e997f9111af1d4c4ce7400a87435fe522533",
     ),
     "slicing-td3-emulated-eval": (
         _payload("slicing", "td3", "slicing-emulated", 40, 15, TINY_TD3),
-        "ab494de9cffa69ce0c0380fd3df7532069186a1335bfc7e7d95226e56ae2f7d2",
+        "adb9c7cc106d3439e4c97f641427a1f0ebe67ad92dbf5883e3cbe2ef2cadd10d",
     ),
     "slicing-sra-analytic": (
         _payload("slicing", "sra", SHIFTED, 40),
-        "c120448ea726c18cff41bf3207c1b0660c68e6f7d947988a4f698c2a61d0a8c0",
+        "d2e79ffb34e909e841016de5b1fbe42dc6ee34aecd5a36f5e28dcf04066345a1",
     ),
     "slicing-sra-emulated": (
         _payload("slicing", "sra", "slicing-emulated", 60),
-        "0ab4670a1376f2550c03af484740ef2f5359f73f8bc7888d4c5b5d90e6ee8157",
+        "d6e9a177cff5a92697ffd9d125893e99a131707ca9d1ffd6c32b22032bdf11b4",
     ),
     "slicing-sra-emulated-backlog": (
         _payload("slicing", "sra", BACKLOGGED, 200),
-        "ae08926326a31b1722afbccf4ab27212cf728aa0954acf22a2a80465251cac60",
+        "3ed51f3bbfab1cb2574794dbad624c79e33efd41ed2b4083063ac652ebe8f3c6",
     ),
     "slicing-optimal-analytic": (
         _payload("slicing", "optimal", SHIFTED, 40),
@@ -216,7 +252,7 @@ RUNS = {
 ORACLES = {
     "oracle-slicing": (
         _payload("slicing", "optimal", SHIFTED),
-        "526d2f29784f523a76bacc60d4111fa0d8e108f777fbeaf5dd8117c1db7a2694",
+        "79c09ff753671350646ff9e90595d94b6dc980cbd1c2a34ceddf11a1d0ad7cee",
     ),
     "oracle-mec-small": (
         _payload("mec", "optimal", "mec-small"),
@@ -229,19 +265,57 @@ ORACLES = {
 }
 
 
+def run_digest(payload: dict, path: Path) -> str:
+    path = run_experiment(ExperimentConfig.from_dict(payload), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def oracle_digest(payload: dict) -> str:
+    report = oracle_report(ExperimentConfig.from_dict(payload), slots=20)
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def all_digests(out_dir: str) -> dict[str, str]:
+    """Every digest of ``RUNS`` and ``ORACLES``, as the running process computes it."""
+    digests = {name: run_digest(payload, Path(out_dir) / f"{name}.jsonl")
+               for name, (payload, _) in RUNS.items()}
+    digests.update((name, oracle_digest(payload)) for name, (payload, _) in ORACLES.items())
+    return digests
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_tiny_run_metrics_digest(name, tmp_path):
     payload, digest = RUNS[name]
-    path = run_experiment(ExperimentConfig.from_dict(payload), tmp_path / f"{name}.jsonl")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert run_digest(payload, tmp_path / f"{name}.jsonl") == digest, platforms()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_oracle_report_digest(name):
     payload, digest = ORACLES[name]
-    report = oracle_report(ExperimentConfig.from_dict(payload), slots=20)
-    text = json.dumps(report, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert oracle_digest(payload) == digest, platforms()
+
+
+def _child_env(**variables: str) -> dict:
+    """This process's environment with ``src/`` on the path and ``variables`` set."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
+# NumPy without its AVX-512 loops, as on an AVX2 machine. Where the CPU lacks them, NumPy
+# only warns, so the child runs without -W error and the test runs everywhere.
+AVX2_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+DIGESTS_CHILD = ("import json, runpy, sys; "
+                 "print(json.dumps(runpy.run_path(sys.argv[1])['all_digests'](sys.argv[2])))")
+
+
+def test_digests_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    child = subprocess.run([sys.executable, "-c", DIGESTS_CHILD, __file__, str(tmp_path)],
+                           env=_child_env(NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    committed = {name: digest for name, (_, digest) in {**RUNS, **ORACLES}.items()}
+    assert json.loads(child.stdout.splitlines()[-1]) == committed, (
+        f"with NPY_DISABLE_CPU_FEATURES={AVX2_DISPATCH!r}; {platforms()}")
 
 
 # Default-size networks on batch-64 GEMMs: the bits must not depend on how many
@@ -263,11 +337,13 @@ def test_bits_do_not_depend_on_the_blas_thread_count(name, tmp_path):
     digest = hashlib.sha256(expected.read_bytes()).hexdigest()
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}.jsonl"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                            os.environ.get("PYTHONPATH")])))
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                         MKL_NUM_THREADS=threads)
         child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(payload), str(out)],
                                env=env, capture_output=True, text=True)
         assert child.returncode == 0, child.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, f"{threads} thread(s)"
+
+
+if __name__ == "__main__":  # record the running platform next to the goldens it made
+    PLATFORM.write_text(json.dumps(running_platform(), indent=2) + "\n")
