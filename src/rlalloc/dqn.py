@@ -90,11 +90,12 @@ class DqnAgent:
         """One gradient step on the squared Bellman error; returns the loss."""
         n = len(batch)
         q_next = mlp_predict(self.target, batch.next_states)
-        y = batch.rewards + self.hp.discount * q_next.min(axis=1)
         q_all = mlp_forward(self.online, batch.states)
         taken = batch.actions.astype(int)
-        err = q_all[np.arange(n), taken] - y
-        loss = float(np.mean(err**2))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+            y = batch.rewards + self.hp.discount * q_next.min(axis=1)
+            err = q_all[np.arange(n), taken] - y
+            loss = float(np.mean(err**2))
         if not np.isfinite(loss):
             raise TrainingDiverged(f"value loss is not finite: {loss}")
         grad_out = np.zeros_like(q_all)

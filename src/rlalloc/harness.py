@@ -151,7 +151,8 @@ def _check_sizes(
     ``networks`` maps each hidden-size key to that network's layer sizes.
     """
     sizes = {f"agent.{key}": _flat_size(layers) for key, layers in networks.items()}
-    sizes["agent.buffer_capacity"] = hp.buffer_capacity * (2 * state_dim + action_width + 1)
+    c = hp.buffer_capacity  # c + 1 observations; per slot an action, a reward and a row
+    sizes["agent.buffer_capacity"] = (c + 1) * state_dim + c * (action_width + 2)
     for key, floats in sizes.items():
         if floats > SIZE_CEILING:
             raise ConfigError(f"{key} needs {floats} floats, above the ceiling of {SIZE_CEILING}")

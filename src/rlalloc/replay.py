@@ -25,8 +25,10 @@ class Batch:
 class ReplayBuffer:
     """Ring buffer: overwrites the oldest entry once ``capacity`` is reached.
 
-    ``action_dim=None`` stores scalar integer actions (discrete agents);
-    otherwise actions are float vectors of that width.
+    The transitions are one unbroken stream, so each observation is stored once: transition
+    k's state is row k mod (capacity + 1) of ``_obs`` and its next state the row after it.
+    A slot keeps its action, its reward and its state's row. ``action_dim=None`` stores
+    scalar integer actions (discrete agents); otherwise float vectors of that width.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int | None = None):
@@ -37,21 +39,26 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.state_dim = int(state_dim)
         self.action_dim = None if action_dim is None else int(action_dim)
-        self._states = np.zeros((capacity, state_dim))
-        self._next_states = np.zeros((capacity, state_dim))
+        self._obs = np.zeros((capacity + 1, state_dim))
         if self.action_dim is None:
             self._actions = np.zeros(capacity, dtype=np.int64)
         else:
             self._actions = np.zeros((capacity, self.action_dim))
         self._rewards = np.zeros(capacity)
+        self._rows = np.zeros(capacity, dtype=np.int64)
         self._cursor = 0
         self._size = 0
+        self._row, self._last = 0, None  # the latest next state's row, and its array
 
     def __len__(self) -> int:
         return self._size
 
     def push(self, state: Array, action: Array | int, reward: float, next_state: Array) -> None:
-        """Store one step of experience. ``action`` is a float vector or an int index."""
+        """Store one step of experience. ``action`` is a float vector or an int index.
+
+        After the first push, ``state`` must equal the previous push's ``next_state``, bit
+        for bit; passing that same array, unchanged, is the fast path. An error writes nothing.
+        """
         state = np.asarray(state, dtype=float)
         next_state = np.asarray(next_state, dtype=float)
         if state.shape != (self.state_dim,) or next_state.shape != (self.state_dim,):
@@ -62,19 +69,20 @@ class ReplayBuffer:
         reward = float(reward)
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
+        action = int(action) if self.action_dim is None else np.asarray(action, dtype=float)
+        if self.action_dim is not None and action.shape != (self.action_dim,):
+            raise ValueError(f"action must have shape ({self.action_dim},), got {action.shape}")
+        row = self._row
+        if self._size == 0:
+            self._obs[row] = state
+        elif state is not self._last and state.tobytes() != self._obs[row].tobytes():
+            raise ValueError("state must equal the previous push's next_state")
         i = self._cursor
-        if self.action_dim is None:
-            self._actions[i] = int(action)
-        else:
-            action = np.asarray(action, dtype=float)
-            if action.shape != (self.action_dim,):
-                raise ValueError(
-                    f"action must have shape ({self.action_dim},), got {action.shape}"
-                )
-            self._actions[i] = action
-        self._states[i] = state
-        self._next_states[i] = next_state
+        self._row = (row + 1) % (self.capacity + 1)
+        self._obs[self._row] = self._last = next_state
+        self._actions[i] = action
         self._rewards[i] = reward
+        self._rows[i] = row
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -85,10 +93,11 @@ class ReplayBuffer:
         if n > self._size:
             raise ValueError(f"asked for {n} transitions but buffer holds {self._size}")
         idx = rng.integers(0, self._size, size=n)
+        rows = self._rows[idx]
         # Integer-array indexing copies, so the batch never aliases the storage.
         return Batch(
-            states=self._states[idx],
+            states=self._obs[rows],
             actions=self._actions[idx],
             rewards=self._rewards[idx],
-            next_states=self._next_states[idx],
+            next_states=self._obs.take(rows + 1, axis=0, mode="wrap"),
         )

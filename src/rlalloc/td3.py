@@ -126,14 +126,16 @@ class Td3Agent:
         target_in = self._critic_input(next_states, next_actions)
         q1_t = mlp_predict(self.critic1_target, target_in)
         q2_t = mlp_predict(self.critic2_target, target_in)
-        y = rewards + hp.discount * np.minimum(q1_t, q2_t)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
+            y = rewards + hp.discount * np.minimum(q1_t, q2_t)
 
         critic_in = self._critic_input(states, actions)
         losses = []
         for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
             q = mlp_forward(critic, critic_in)
-            err = q - y
-            loss = float(np.mean(err**2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = q - y
+                loss = float(np.mean(err**2))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"critic loss is not finite: {loss}")
             grads = mlp_gradients(critic, (2.0 / n) * err)
@@ -147,7 +149,8 @@ class Td3Agent:
             pi = mlp_forward(self.actor, states)
             q_in = self._critic_input(states, pi)
             q = mlp_forward(self.critic1, q_in)
-            actor_loss = float(-np.mean(q))
+            with np.errstate(over="ignore", invalid="ignore"):
+                actor_loss = float(-np.mean(q))
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged(f"actor loss is not finite: {actor_loss}")
             q_grad = mlp_input_gradient(self.critic1, np.full((n, 1), -1.0 / n))

@@ -3,6 +3,7 @@
 import csv
 import importlib.metadata
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -452,6 +453,24 @@ def test_non_finite_reward_exits_2_and_leaves_only_partial(policy, tmp_path, cap
     assert len(steps) > 1 and steps == list(range(1, len(steps) + 1))
     assert err == (f"config error: ideal_scores and latency_weights make step {len(steps) + 1}'s "
                    "reward inf\n")
+
+
+def test_huge_rewards_abort_training_without_a_numpy_warning(tmp_path):
+    # Rewards about 1e306: the critic loss overflows, and the run ends in exit 3 alone.
+    payload = {"scenario": "slicing", "policy": "td3", "total_steps": 40,
+               "env": dict(EMULATED_ENV, ideal_scores=[2e-102] * 3),
+               "agent": {"actor_hidden": [8], "critic_hidden": [8], "batch_size": 4,
+                         "buffer_capacity": 64}}
+    config = write_config(tmp_path, "huge-rewards.json", payload)
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    child = subprocess.run(  # a child without -W error, so a warning would reach stderr
+        [sys.executable, "-m", "rlalloc.cli", "run", "--config", str(config),
+         "--out", str(tmp_path / "m.jsonl")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True, text=True,
+    )
+    assert child.returncode == 3
+    assert child.stderr == "training aborted: critic loss is not finite: inf\n"
 
 
 def test_oracle_subcommand(sra_config, capsys):

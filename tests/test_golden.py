@@ -122,8 +122,8 @@ def test_printing_demo_shows_its_figures(demo, tmp_path, monkeypatch, capsys):
 # Tiny runs through the branches the demos leave out: TD3 eval slots, emulated
 # TD3 and SRA (once with every slice behind, so earlier files' last video
 # chunks finish in later cycles), RRA and the optimum on both MEC presets and on
-# mec-seven with fast links, DQN eval slots on mec-seven, and the oracle report:
-# 17 digests. Each is the
+# mec-seven with fast links, DQN eval slots on mec-seven, a TD3 and a DQN run whose
+# replay ring wraps, and the oracle report: 19 digests. Each is the
 # sha256 of the metrics file, or of the sorted-key JSON of the oracle report,
 # as recorded when its output last changed.
 TINY_TD3 = {
@@ -140,6 +140,9 @@ TINY_DQN = {
     "buffer_capacity": 256,
     "target_sync_period": 10,
 }
+# A buffer far below the run length, so the replay ring wraps more than three times.
+WRAP_TD3 = {**TINY_TD3, "buffer_capacity": 32}
+WRAP_DQN = {**TINY_DQN, "buffer_capacity": 32}
 SHIFTED = {  # the slicing-analytic preset with its demand shift after step 30
     "total_bandwidth": 1.5,
     "k_min": [0.075, 0.075, 0.075],
@@ -196,6 +199,10 @@ RUNS = {
         _payload("slicing", "td3", SHIFTED, 60, 15, TINY_TD3),
         "18590b4fe8b31405ecb2535f2581e997f9111af1d4c4ce7400a87435fe522533",
     ),
+    "slicing-td3-analytic-wrap": (
+        _payload("slicing", "td3", SHIFTED, 120, 15, WRAP_TD3),
+        "79527201f466efcd21ce5c95cc60821e85758afba31671247cc399a58a039aba",
+    ),
     "slicing-td3-emulated-eval": (
         _payload("slicing", "td3", "slicing-emulated", 40, 15, TINY_TD3),
         "adb9c7cc106d3439e4c97f641427a1f0ebe67ad92dbf5883e3cbe2ef2cadd10d",
@@ -243,6 +250,10 @@ RUNS = {
     "mec-dqn-seven-eval": (
         _payload("mec", "dqn", "mec-seven", 60, 15, TINY_DQN),
         "784a9dd15ba75e9a4b8c3c1621e8b5464832201fb1a02174722e330e057d364a",
+    ),
+    "mec-dqn-seven-wrap": (
+        _payload("mec", "dqn", "mec-seven", 120, 15, WRAP_DQN),
+        "c36104a30e53b7df177c9638fbfb74ae8df790fded388ca713a26235e30300fc",
     ),
     "mec-dqn-small-eval": (
         _payload("mec", "dqn", "mec-small", 60, 15, TINY_DQN),

@@ -247,6 +247,17 @@ def test_total_steps_caps_exploration():
     assert (run.total, run.steps, run.explore, run.hp.exploration_steps) == (20, 20, 20, 500)
 
 
+@pytest.mark.parametrize("config", [slicing_config("td3"), mec_config("dqn")], ids=["td3", "dqn"])
+def test_the_buffer_ceiling_counts_what_the_buffer_allocates(config, monkeypatch):
+    buffer = harness_mod._SCENARIOS[config.scenario](config).buffer
+    floats = sum(a.nbytes for a in vars(buffer).values() if isinstance(a, np.ndarray)) // 8
+    monkeypatch.setattr(harness_mod, "SIZE_CEILING", floats - 1)  # the networks are smaller
+    with pytest.raises(ConfigError, match=f"agent.buffer_capacity needs {floats} floats"):
+        harness_mod._SCENARIOS[config.scenario](config)
+    monkeypatch.setattr(harness_mod, "SIZE_CEILING", floats)
+    harness_mod._SCENARIOS[config.scenario](config)
+
+
 @pytest.mark.parametrize("name, steps", [("slicing-sra", 8000), ("mec-rra", 5000)])
 def test_baseline_run_takes_the_default_length_and_builds_no_hyperparameters(
     name, steps, tmp_path
