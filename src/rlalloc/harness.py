@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {p}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         return cls.from_dict(payload)
 
 
@@ -322,6 +324,17 @@ class _Mec(_Run):
 _SCENARIOS = {"slicing": _Slicing, "mec": _Mec}
 
 
+def _check_out(path: Path, directory: bool = False) -> Path:
+    """``path``, once nothing on disk stops a ``directory`` (or a file) from being made there."""
+    want, other = ("directory", "file") if directory else ("file", "directory")
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"output {want} {path} is a {other}")
+    for parent in path.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"output {want} {path}: {parent} is a file, not a directory")
+    return path
+
+
 def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None) -> Path:
     """Train for ``total_steps``, then act greedily for ``eval_slots``; one record per step.
 
@@ -332,11 +345,11 @@ def run_experiment(config: ExperimentConfig, out_path: str | Path | None = None)
     config.validate()
     if out_path is None:
         out_path = Path(f"metrics-{config.scenario}-{config.policy}-seed{config.seed}.jsonl")
-    path = Path(out_path)
+    path = _check_out(Path(out_path))
+    partial = _check_out(path.with_name(path.name + ".partial"))
     run = _SCENARIOS[config.scenario](config)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)  # a stale file must not pass for this run's output
-    partial = path.with_name(path.name + ".partial")
     with partial.open("w") as out:
         for _ in range(run.steps):
             out.write(json.dumps(run.step()) + "\n")
@@ -360,6 +373,8 @@ def load_metrics(path: str | Path) -> list[dict]:
         raise ConfigError(f"cannot read metrics file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"metrics file {path}, line {n}: not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"metrics file {path}, line {n}: nested too deeply to read") from exc
     return records
 
 
@@ -471,7 +486,7 @@ def _write_plot(out: Path, kind: str, files: list[list[dict]], paths: list[str |
         _, header_of, row_of = _PLOTS[kind]
         header = header_of(files[0][0] if files[0] else None)
         rows = [row_of(r) for r in files[0]]
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _check_out(out).parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
 
@@ -529,7 +544,7 @@ def sweep_epsilon(
                for eps in values]
     for run_cfg in configs:  # a bad value is rejected before the first run writes anything
         _hyperparams(run_cfg)
-    base_dir = Path(out_dir) if out_dir is not None else Path(".")
+    base_dir = _check_out(Path(out_dir) if out_dir is not None else Path("."), directory=True)
     base_dir.mkdir(parents=True, exist_ok=True)
     paths, files, summaries = [], [], []
     for eps, run_cfg in zip(values, configs):

@@ -20,7 +20,9 @@ outputs. All networks share three vectors, so memory does not grow with their
 count: [0] holds ``mlp_gradients``' result, valid until its next call; [1] and
 [2] are scratch for backprop's deltas, ``mlp_predict``'s layers and the
 ``BLOCK``-element slices that ``adam_step``/``soft_update`` walk, so that the
-scratch does not grow with the parameter count either.
+scratch does not grow with the parameter count either. Pass each
+``mlp_gradients`` result straight to ``adam_step``: a result kept past the next
+call keeps the old vector resident when that call grows it.
 """
 
 from __future__ import annotations

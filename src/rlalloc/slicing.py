@@ -98,7 +98,7 @@ class SliceConfig:
                                  f"outside (0, inf): from {low} to {high}")
         if self.mode == "emulated":  # a score's latency term w/l peaks at l = step_duration
             try:
-                top = score_emulated([StepStats(0, self.step_duration, 0, 0.0, 0.0, 0.0)] * i, self)
+                top = score_emulated([StepStats(0, self.step_duration, 0, 0.0, 0.0)] * i, self)
             except OverflowError:
                 top = [math.inf]
             if not all(map(math.isfinite, top)):

@@ -138,8 +138,7 @@ class Td3Agent:
                 loss = float(np.mean(err**2))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"critic loss is not finite: {loss}")
-            grads = mlp_gradients(critic, (2.0 / n) * err)
-            adam_step(critic, grads, opt)
+            adam_step(critic, mlp_gradients(critic, (2.0 / n) * err), opt)
             losses.append(loss)
         critic_loss = 0.5 * (losses[0] + losses[1])
 
@@ -155,8 +154,7 @@ class Td3Agent:
                 raise TrainingDiverged(f"actor loss is not finite: {actor_loss}")
             q_grad = mlp_input_gradient(self.critic1, np.full((n, 1), -1.0 / n))
             action_grad = q_grad[:, self.state_dim :]
-            actor_grads = mlp_gradients(self.actor, action_grad)
-            adam_step(self.actor, actor_grads, self.actor_opt)
+            adam_step(self.actor, mlp_gradients(self.actor, action_grad), self.actor_opt)
             soft_update(self.actor_target, self.actor, hp.soft_tau)
             soft_update(self.critic1_target, self.critic1, hp.soft_tau)
             soft_update(self.critic2_target, self.critic2, hp.soft_tau)

@@ -139,7 +139,6 @@ class StepStats:
     mean_latency: float  # average completion latency (time units); one step if none finished
     video_flag: int  # 1 once the cycle's whole file has drained
     arrived: float  # data enqueued this step
-    served: float  # data drained this step
     backlog: float  # data still queued after this step
 
 
@@ -180,7 +179,7 @@ class SliceTraffic:
         for size in self._arrivals(rng):
             self.queue.add(step, size)
             arrived += size
-        done, served = self.queue.serve(bandwidth * self.step_duration)
+        done, _ = self.queue.serve(bandwidth * self.step_duration)
         # A slice queues only its own service, so the current file's last
         # chunk is the one request that arrived on its step.
         if self._last_chunk_step in done:
@@ -191,4 +190,4 @@ class SliceTraffic:
             mean_latency = self.step_duration
         self._step += 1
         # Positional: half the cost of keywords, on every step of every slice.
-        return StepStats(len(done), mean_latency, self._video_flag, arrived, served, self.queue.backlog)
+        return StepStats(len(done), mean_latency, self._video_flag, arrived, self.queue.backlog)

@@ -598,6 +598,45 @@ def test_bad_metrics_file_exits_2_and_writes_nothing(argv, named, metrics_dir, c
     assert list(metrics_dir.glob("*.csv")) == []
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON reader's recursion limit
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--config", "cfgdir"], "cfgdir"),
+        (["oracle", "--config", "cfgdir"], "cfgdir"),
+        (["run", "--config", "binary.json"], "binary.json"),
+        (["run", "--config", "deep.json"], "deep.json"),
+        (["compare", "slicing.jsonl", "deep.jsonl"], "deep.jsonl, line 1"),
+        (["run", "--config", "sra.json", "--out", "outdir"], "outdir"),
+        (["run", "--config", "sra.json", "--out", "afile/x.jsonl"], "afile/x.jsonl"),
+        (["plot", "--kind", "scores", "slicing.jsonl", "--out", "outdir"], "outdir"),
+        (["plot", "--kind", "scores", "slicing.jsonl", "--out", "afile/x.csv"], "afile/x.csv"),
+        (["sweep-epsilon", "--config", "dqn.json", "--values", "0.1", "--out-dir", "afile"],
+         "afile"),
+    ],
+    ids=["run-config-directory", "oracle-config-directory", "config-not-utf8",
+         "config-too-deep", "compare-metrics-too-deep", "run-out-directory",
+         "run-out-under-a-file", "plot-out-directory", "plot-out-under-a-file",
+         "sweep-out-dir-a-file"],
+)
+def test_unusable_input_or_output_path_exits_2_and_touches_nothing(argv, named, metrics_dir,
+                                                                    dqn_config, capsys):
+    (metrics_dir / "cfgdir").mkdir()
+    (metrics_dir / "outdir").mkdir()
+    (metrics_dir / "afile").write_text("")
+    (metrics_dir / "binary.json").write_bytes(b"\xff\xfe")
+    (metrics_dir / "deep.json").write_text(DEEP)
+    (metrics_dir / "deep.jsonl").write_text(DEEP + "\n")
+    listing = sorted(metrics_dir.rglob("*"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert sorted(metrics_dir.rglob("*")) == listing
+
+
 def test_plot_empty_metrics_file_writes_header_only(metrics_dir, capsys):
     for kind, header in [("allocation", ["step"]), ("scores", ["step"]),
                          ("latency", ["slot", "L_max"])]:

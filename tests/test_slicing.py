@@ -198,7 +198,7 @@ def test_score_emulated_formula():
     l0 = config.latency_weights
     expected = (completed + l0 / latency) ** SCORE_EXPONENT
     expected = expected / config.ideal_scores + video_flag
-    stats = [StepStats(int(r), l, int(f), 0.0, 0.0, 0.0)
+    stats = [StepStats(int(r), l, int(f), 0.0, 0.0)
              for r, l, f in zip(completed, latency, video_flag)]
     s = score_emulated(stats, config)
     np.testing.assert_allclose(s, expected, atol=1e-12)

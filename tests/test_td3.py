@@ -1,6 +1,10 @@
 """Unit tests for the twin-critic actor-critic learner."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,38 @@ def test_warm_train_steps_allocate_no_large_arrays():
     finally:
         tracemalloc.stop()
     assert peak - start < 512 * 1024, f"train steps peaked {peak - start} bytes above the start"
+
+
+# Default networks, batch 64: the first actor update grows the shared gradient vector from
+# critic size to actor size; VmHWM - VmRSS counts what the old vector added to the peak.
+RSS_CHILD = """
+import numpy as np
+from rlalloc.replay import Batch
+from rlalloc.td3 import Td3Agent
+
+agent = Td3Agent(9, 3, rng=0)
+rng = np.random.default_rng(19)
+batch = Batch(rng.normal(size=(64, 9)), rng.uniform(-1, 1, size=(64, 3)), rng.normal(size=64),
+              rng.normal(size=(64, 9)))
+for _ in range(2 * agent.hp.policy_delay):
+    agent.train_step(batch)
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(int(status["VmHWM"].split()[0]) - int(status["VmRSS"].split()[0]))
+"""
+
+
+def test_train_steps_peak_at_their_steady_rss():
+    # Resident memory, not tracemalloc: the grown vector is allocated before the old one is
+    # released, and that overlap is allocated, not resident.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", RSS_CHILD], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    excess_kib = int(proc.stdout.split()[-1])
+    assert excess_kib < 128, f"train steps peaked {excess_kib} KiB above their steady RSS"
 
 
 def test_targets_and_acting_keep_no_activation_buffers(monkeypatch):
