@@ -153,8 +153,8 @@ def _check_sizes(
     ``networks`` maps each hidden-size key to that network's layer sizes.
     """
     sizes = {f"agent.{key}": _flat_size(layers) for key, layers in networks.items()}
-    c = hp.buffer_capacity  # c + 1 observations; per slot an action, a reward and a row
-    sizes["agent.buffer_capacity"] = (c + 1) * state_dim + c * (action_width + 2)
+    c = hp.buffer_capacity  # c + 1 observations; per slot an action and a reward
+    sizes["agent.buffer_capacity"] = (c + 1) * state_dim + c * (action_width + 1)
     for key, floats in sizes.items():
         if floats > SIZE_CEILING:
             raise ConfigError(f"{key} needs {floats} floats, above the ceiling of {SIZE_CEILING}")
@@ -281,18 +281,17 @@ class _Mec(_Run):
             _check_sizes(hp, s, 1, {"hidden": (s, *hp.hidden, len(self.catalog))})
             self.agent = DqnAgent(s, len(self.catalog), hp, rng=self.streams["init"])
             self.buffer = ReplayBuffer(hp.buffer_capacity, s)
-        self.baseline_rng = self.streams["baseline"]
 
     def _outcome(self, t: int, obs: np.ndarray, mode: str, action: int | None) -> tuple:
         topology, arrivals = self.env.topology, self.env.current_arrivals
         if action is not None:
             choices = self.catalog[action]
         elif self.policy == "rra":
-            choices = mec_mod.random_routing(topology, arrivals, self.baseline_rng)
+            choices = mec_mod.random_routing(topology, arrivals, self.streams["baseline"])
         else:
             choices, _ = mec_mod.brute_force_optimal(topology, arrivals)
         if mode == "eval":  # grade against both baselines on the same arrivals
-            rra_choice = mec_mod.random_routing(topology, arrivals, self.baseline_rng)
+            rra_choice = mec_mod.random_routing(topology, arrivals, self.streams["baseline"])
             l_rra = mec_mod.evaluate_action(topology, arrivals, rra_choice).l_max
             _, opt_outcome = mec_mod.brute_force_optimal(topology, arrivals)
         next_obs, latencies, l_max, info = self.env.step(choices)

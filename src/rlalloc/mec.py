@@ -412,12 +412,11 @@ def random_routing(
     topology: EdgeTopology, arrival_sizes: Array, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Uniform random valid choice per server (the random baseline)."""
-    slot_cap = topology.slot_capacity()
-    sizes = np.asarray(arrival_sizes, dtype=float)
+    over, _, _ = _slot_table(topology, arrival_sizes)
     # Only overflowing servers draw; a one-entry draw, integers(0, 1), would consume nothing.
     return tuple(
-        routes[rng.integers(0, len(routes))] if over else NOOP
-        for routes, over in zip(topology.routing_choices, sizes > slot_cap)
+        routes[rng.integers(0, len(routes))] if o > 0.0 else NOOP
+        for routes, o in zip(topology.routing_choices, over)
     )
 
 
@@ -438,8 +437,6 @@ class MecEnv:
         self._rng = np.random.default_rng(rng)
         self._latency_ref = config.resolved_latency_ref()
         self._arrivals: Array | None = None
-        self._prev_latencies: list[float] | None = None
-        self._prev_effective: tuple[int, ...] | None = None
         # Observation position of each (server, choice) one-hot entry; choice None is the latency.
         routes = self.topology.routing_choices
         keys = [(i, c) for i, rs in enumerate(routes) for c in (None, *rs, NOOP)]
@@ -461,20 +458,18 @@ class MecEnv:
             raise RuntimeError("call reset() before reading arrivals")
         return self._arrivals
 
-    def _observation(self) -> Array:
+    def _observation(self, latencies: list[float], effective: tuple[int, ...]) -> Array:
         obs = [0.0] * self._obs_dim
         ref = self._latency_ref
-        for pos, latency in zip(self._latency_pos, self._prev_latencies):
+        for pos, latency in zip(self._latency_pos, latencies):
             obs[pos] = min(max(latency / ref, 0.0), 1.0)  # np.clip's bits, NaN included
-        for key in enumerate(self._prev_effective):
+        for key in enumerate(effective):
             obs[self._pos[key]] = 1.0
         return np.array(obs)
 
     def reset(self) -> Array:
-        self._prev_latencies = [0.0] * self.num_servers
-        self._prev_effective = tuple(NOOP for _ in range(self.num_servers))
         self._arrivals = self.config.arrivals.draw(self._rng)
-        return self._observation()
+        return self._observation([0.0] * self.num_servers, (NOOP,) * self.num_servers)
 
     def step(self, choices: tuple[int, ...] | list[int]) -> tuple[Array, Array, float, dict]:
         """Execute one slot; returns (obs, per-server latencies, L_max, info)."""
@@ -487,7 +482,6 @@ class MecEnv:
             "effective": outcome.effective,
             "accepted": outcome.accepted,
         }
-        self._prev_latencies = outcome.latencies.tolist()
-        self._prev_effective = outcome.effective
         self._arrivals = self.config.arrivals.draw(self._rng)
-        return self._observation(), outcome.latencies, outcome.l_max, info
+        obs = self._observation(outcome.latencies.tolist(), outcome.effective)
+        return obs, outcome.latencies, outcome.l_max, info

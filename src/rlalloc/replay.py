@@ -26,9 +26,10 @@ class ReplayBuffer:
     """Ring buffer: overwrites the oldest entry once ``capacity`` is reached.
 
     The transitions are one unbroken stream, so each observation is stored once: transition
-    k's state is row k mod (capacity + 1) of ``_obs`` and its next state the row after it.
-    A slot keeps its action, its reward and its state's row. ``action_dim=None`` stores
-    scalar integer actions (discrete agents); otherwise float vectors of that width.
+    k goes to slot k mod capacity, its state is row k mod (capacity + 1) of ``_obs`` and its
+    next state the row after it. The push count ``_count`` is the whole bookkeeping: the
+    size, the next slot and every slot's state row follow from it. ``action_dim=None``
+    stores scalar integer actions (discrete agents); otherwise float vectors of that width.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int | None = None):
@@ -45,13 +46,10 @@ class ReplayBuffer:
         else:
             self._actions = np.zeros((capacity, self.action_dim))
         self._rewards = np.zeros(capacity)
-        self._rows = np.zeros(capacity, dtype=np.int64)
-        self._cursor = 0
-        self._size = 0
-        self._row, self._last = 0, None  # the latest next state's row, and its array
+        self._count, self._last = 0, None  # transitions pushed, and the last next state's array
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._count, self.capacity)
 
     def push(self, state: Array, action: Array | int, reward: float, next_state: Array) -> None:
         """Store one step of experience. ``action`` is a float vector or an int index.
@@ -72,28 +70,27 @@ class ReplayBuffer:
         action = int(action) if self.action_dim is None else np.asarray(action, dtype=float)
         if self.action_dim is not None and action.shape != (self.action_dim,):
             raise ValueError(f"action must have shape ({self.action_dim},), got {action.shape}")
-        row = self._row
-        if self._size == 0:
+        k, c = self._count, self.capacity
+        row = k % (c + 1)
+        if k == 0:
             self._obs[row] = state
         elif state is not self._last and state.tobytes() != self._obs[row].tobytes():
             raise ValueError("state must equal the previous push's next_state")
-        i = self._cursor
-        self._row = (row + 1) % (self.capacity + 1)
-        self._obs[self._row] = self._last = next_state
-        self._actions[i] = action
-        self._rewards[i] = reward
-        self._rows[i] = row
-        self._cursor = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self._obs[(row + 1) % (c + 1)] = self._last = next_state
+        self._actions[k % c] = action
+        self._rewards[k % c] = reward
+        self._count = k + 1
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         """Uniform sample of ``n`` transitions, with replacement."""
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        if n > self._size:
-            raise ValueError(f"asked for {n} transitions but buffer holds {self._size}")
-        idx = rng.integers(0, self._size, size=n)
-        rows = self._rows[idx]
+        size, c = len(self), self.capacity
+        if n > size:
+            raise ValueError(f"asked for {n} transitions but buffer holds {size}")
+        idx = rng.integers(0, size, size=n)
+        # Slot i holds the latest transition k = i (mod c), whose state is row k mod (c + 1).
+        rows = (idx + c * ((self._count - 1 - idx) // c)) % (c + 1)
         # Integer-array indexing copies, so the batch never aliases the storage.
         return Batch(
             states=self._obs[rows],

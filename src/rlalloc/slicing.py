@@ -272,10 +272,8 @@ class SlicingEnv:
         config.validate()
         self.config = config
         self._rng = np.random.default_rng(rng)
-        self._step_count = 0
-        self._prev_allocation: list[float] | None = None
+        self._step_count: int | None = None  # None until reset()
         self._traffic: list[SliceTraffic] | None = None
-        self._last_obs: Array | None = None
 
     @property
     def num_slices(self) -> int:
@@ -285,10 +283,12 @@ class SlicingEnv:
     def observation_dim(self) -> int:
         return 3 * self.config.num_slices
 
-    def _observation(self, latencies: list[float], demand_obs: list[float]) -> Array:
+    def _observation(
+        self, split: list[float], latencies: list[float], demand_obs: list[float]
+    ) -> Array:
         obs = [0.0] * (3 * self.config.num_slices)  # per-slice (o, l, d) triples
         b = self.config.total_bandwidth
-        obs[0::3] = [k / b for k in self._prev_allocation]
+        obs[0::3] = [k / b for k in split]
         obs[1::3] = latencies
         obs[2::3] = demand_obs
         return np.array(obs)
@@ -298,7 +298,6 @@ class SlicingEnv:
         i = cfg.num_slices
         b = cfg.total_bandwidth
         self._step_count = 0
-        self._prev_allocation = [b / i] * i
         if cfg.mode == "emulated":
             self._traffic = [SliceTraffic(p, cfg.step_duration) for p in cfg.services]
             latencies = [cfg.step_duration / w for w in cfg.latency_weights.tolist()]
@@ -307,8 +306,7 @@ class SlicingEnv:
             self._traffic = None
             latencies = [0.0] * i
             demand_obs = [d / b for d in cfg.demands_at(1).tolist()]
-        self._last_obs = self._observation(latencies, demand_obs)
-        return self._last_obs
+        return self._observation([b / i] * i, latencies, demand_obs)
 
     def step(self, action: Array) -> tuple[Array, float, dict]:
         """Apply an action in ``[-1, 1]^I``; returns (obs, utility, info)."""
@@ -321,7 +319,7 @@ class SlicingEnv:
         ``utility``. The step reads the split, the demands and the traffic measurements
         as Python floats, which costs less than a NumPy call on a vector this short.
         """
-        if self._last_obs is None:
+        if self._step_count is None:
             raise RuntimeError("call reset() before stepping the environment")
         cfg = self.config
         k = np.asarray(allocation, dtype=float)
@@ -345,7 +343,5 @@ class SlicingEnv:
             demand_obs = [s.arrived / scale for s in stats]
             info = {"k": k, "scores": scores, "stats": stats}
         reward = utility(scores)
-        self._prev_allocation = split
         self._step_count = t
-        self._last_obs = obs = self._observation(latencies, demand_obs)
-        return obs, reward, info
+        return self._observation(split, latencies, demand_obs), reward, info

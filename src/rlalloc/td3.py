@@ -86,7 +86,6 @@ class Td3Agent:
         self.actor_opt = adam_init(self.actor, hp.actor_lr)
         self.critic1_opt = adam_init(self.critic1, hp.critic_lr)
         self.critic2_opt = adam_init(self.critic2, hp.critic_lr)
-        self.train_calls = 0
 
     def select_action(
         self, state: Array, mode: str, rng: np.random.Generator | None = None
@@ -142,9 +141,8 @@ class Td3Agent:
             losses.append(loss)
         critic_loss = 0.5 * (losses[0] + losses[1])
 
-        self.train_calls += 1
         actor_loss: float | None = None
-        if self.train_calls % hp.policy_delay == 0:
+        if self.critic1_opt.step_count % hp.policy_delay == 0:  # critic 1 steps once a call
             pi = mlp_forward(self.actor, states)
             q_in = self._critic_input(states, pi)
             q = mlp_forward(self.critic1, q_in)

@@ -96,8 +96,8 @@ class FluidQueue:
         self._pending.append([step, float(size)])
         self.backlog += float(size)
 
-    def serve(self, budget: float) -> tuple[list[int], float]:
-        """Drain up to ``budget``; returns the finished requests' arrival steps and the amount."""
+    def serve(self, budget: float) -> list[int]:
+        """Drain up to ``budget``; returns the finished requests' arrival steps."""
         if not budget >= 0:  # NaN fails this comparison too
             raise ValueError(f"service budget must be non-negative, got {budget}")
         served = 0.0
@@ -117,7 +117,7 @@ class FluidQueue:
         self.backlog -= served
         if not self._pending:
             self.backlog = 0.0
-        return done, served
+        return done
 
 
 def _mean(values: list[float]) -> float:
@@ -179,7 +179,7 @@ class SliceTraffic:
         for size in self._arrivals(rng):
             self.queue.add(step, size)
             arrived += size
-        done, _ = self.queue.serve(bandwidth * self.step_duration)
+        done = self.queue.serve(bandwidth * self.step_duration)
         # A slice queues only its own service, so the current file's last
         # chunk is the one request that arrived on its step.
         if self._last_chunk_step in done:

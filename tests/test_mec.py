@@ -351,9 +351,15 @@ def test_brute_force_reads_its_slot_table_without_evaluate_action(monkeypatch, t
 
 
 def test_brute_force_rejects_wrong_length_arrivals():
-    topology = small_contention_config().topology
-    with pytest.raises(ValueError, match=r"arrival_sizes must have shape \(4,\), got \(3,\)"):
-        brute_force_optimal(topology, [24.0, 18.0, 8.0])
+    topology, seven = small_contention_config().topology, default_mec_config().topology
+    rng = np.random.default_rng(0)
+    # Random routing reads the same slot table: one entry must not broadcast to all servers.
+    for baseline in (brute_force_optimal, lambda topo, sizes: random_routing(topo, sizes, rng)):
+        with pytest.raises(ValueError, match=r"arrival_sizes must have shape \(4,\), got \(3,\)"):
+            baseline(topology, [24.0, 18.0, 8.0])
+        for sizes in (np.array([20.0]), np.full(8, 20.0)):
+            with pytest.raises(ValueError, match=rf"must have shape \(7,\), got \({sizes.size},\)"):
+                baseline(seven, sizes)
 
 
 def test_random_routing_is_valid_and_varied():

@@ -16,7 +16,7 @@ def make_transition(i, state_dim=3, action_dim=2):
     )
 
 
-STORAGE = ("_obs", "_actions", "_rewards", "_rows")
+STORAGE = ("_obs", "_actions", "_rewards")
 
 
 def test_push_and_len():
@@ -170,16 +170,16 @@ def test_a_break_in_the_stream_raises_and_writes_nothing(action_dim):
     for i in range(6):  # past one wrap
         buf.push(*make_transition(i, action_dim=action_dim))
     stored = {name: getattr(buf, name).copy() for name in STORAGE}
-    counters, last = (len(buf), buf._cursor, buf._row), buf._last
+    counters, last = (len(buf), buf._count), buf._last
     state, action, reward, next_state = make_transition(6, action_dim=action_dim)
     for broken in (state + 0.5, np.zeros(3)):
         with pytest.raises(ValueError, match="previous push's next_state"):
             buf.push(broken, action, reward, next_state)
-        assert (len(buf), buf._cursor, buf._row) == counters and buf._last is last
+        assert (len(buf), buf._count) == counters and buf._last is last
         for name, before in stored.items():
             np.testing.assert_array_equal(getattr(buf, name), before)
     buf.push(state.copy(), action, reward, next_state)  # by value, the stream goes on
-    assert (len(buf), buf._cursor) == (4, 3)
+    assert (len(buf), buf._count) == (4, 7)
 
 
 def test_a_state_equal_in_value_but_not_in_bits_breaks_the_stream():

@@ -138,7 +138,7 @@ def test_critic_loss_matches_external_replication():
     critic_loss, actor_loss = agent.train_step(batch)
     assert critic_loss == pytest.approx(expected, rel=1e-12)
     assert actor_loss is None
-    assert agent.train_calls == 1
+    assert agent.critic1_opt.step_count == 1
 
 
 def test_target_uses_min_of_both_critics():
@@ -306,7 +306,7 @@ def test_targets_and_acting_keep_no_activation_buffers(monkeypatch):
     agent.select_action(np.zeros(9), "eval")
     for _ in range(2):
         agent.train_step(batch)
-    assert agent.train_calls == agent.hp.policy_delay  # the actor and the targets were updated
+    assert agent.critic1_opt.step_count == agent.hp.policy_delay  # the actor and the targets were updated
     for target in (agent.actor_target, agent.critic1_target, agent.critic2_target):
         assert target._acts == []
     widest = max(agent.hp.actor_hidden + agent.hp.critic_hidden)

@@ -44,13 +44,9 @@ def test_fifo_order_with_partial_head():
     q = FluidQueue()
     q.add(step=0, size=3.0)
     q.add(step=1, size=2.0)
-    done, served = q.serve(4.0)
-    assert served == 4.0
-    assert done == [0]
+    assert q.serve(4.0) == [0]
     assert q.backlog == pytest.approx(1.0)
-    done, served = q.serve(10.0)
-    assert served == pytest.approx(1.0)
-    assert done == [1]
+    assert q.serve(10.0) == [1]
     assert q.backlog == 0.0
     assert len(q) == 0
 
@@ -58,8 +54,7 @@ def test_fifo_order_with_partial_head():
 def test_zero_budget_serves_nothing():
     q = FluidQueue()
     q.add(0, 1.0)
-    done, served = q.serve(0.0)
-    assert done == [] and served == 0.0
+    assert q.serve(0.0) == []
     assert q.backlog == 1.0
 
 
@@ -140,27 +135,20 @@ def test_latency_counts_queueing_steps():
 def test_conservation_arrived_equals_served_plus_backlog():
     profile = ServiceProfile.chat(mean_arrivals=3.0, size_min=0.05, size_max=0.15)
     tr = SliceTraffic(profile, step_duration=0.5)
-    served = []  # what each step's FluidQueue.serve returns as drained
-    serve = tr.queue.serve
-    def recording_serve(budget):
-        done, amount = serve(budget)
-        served.append(amount)
-        return done, amount
-    tr.queue.serve = recording_serve
     rng = np.random.default_rng(1)
     backlog_prev = 0.0
     total_in, total_out = 0.0, 0.0
     for _ in range(500):
-        stats = tr.advance(bandwidth=rng.uniform(0.0, 0.8), rng=rng)
-        assert stats.arrived - served[-1] == pytest.approx(
-            stats.backlog - backlog_prev, abs=1e-9
-        )
+        bandwidth = rng.uniform(0.0, 0.8)
+        stats = tr.advance(bandwidth=bandwidth, rng=rng)
+        # The fluid model: a step drains its budget, or everything queued if that is less.
+        drained = min(bandwidth * 0.5, backlog_prev + stats.arrived)
+        assert stats.backlog - backlog_prev == pytest.approx(stats.arrived - drained, abs=1e-9)
         assert stats.backlog >= 0.0
         assert stats.mean_latency >= 0.5
         backlog_prev = stats.backlog
         total_in += stats.arrived
-        total_out += served[-1]
-    assert len(served) == 500
+        total_out += drained
     assert total_in == pytest.approx(total_out + backlog_prev, abs=1e-9)
 
 
