@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for configuration problems (including bad
-arguments), 3 when a training loss goes non-finite and the run aborts, 130 on
-Ctrl-C.
+arguments), 3 when a training loss goes non-finite and the run aborts, 4 when
+writing output fails mid-run (``run`` leaves its ``.partial`` file), 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -134,6 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # paths are checked before the run; this is, say, a full disk
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

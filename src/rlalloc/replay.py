@@ -46,7 +46,7 @@ class ReplayBuffer:
         else:
             self._actions = np.zeros((capacity, self.action_dim))
         self._rewards = np.zeros(capacity)
-        self._count, self._last = 0, None  # transitions pushed, and the last next state's array
+        self._count = 0  # transitions pushed
 
     def __len__(self) -> int:
         return min(self._count, self.capacity)
@@ -55,7 +55,7 @@ class ReplayBuffer:
         """Store one step of experience. ``action`` is a float vector or an int index.
 
         After the first push, ``state`` must equal the previous push's ``next_state``, bit
-        for bit; passing that same array, unchanged, is the fast path. An error writes nothing.
+        for bit. An error writes nothing.
         """
         state = np.asarray(state, dtype=float)
         next_state = np.asarray(next_state, dtype=float)
@@ -74,9 +74,9 @@ class ReplayBuffer:
         row = k % (c + 1)
         if k == 0:
             self._obs[row] = state
-        elif state is not self._last and state.tobytes() != self._obs[row].tobytes():
+        elif state.tobytes() != self._obs[row].tobytes():
             raise ValueError("state must equal the previous push's next_state")
-        self._obs[(row + 1) % (c + 1)] = self._last = next_state
+        self._obs[(row + 1) % (c + 1)] = next_state
         self._actions[k % c] = action
         self._rewards[k % c] = reward
         self._count = k + 1

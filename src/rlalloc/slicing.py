@@ -96,14 +96,14 @@ class SliceConfig:
             if not 0 < low <= high < math.inf:
                 raise ValueError(f"{name}, k_min, k_max and ideal_scores give a utility "
                                  f"outside (0, inf): from {low} to {high}")
-        if self.mode == "emulated":  # a score's latency term w/l peaks at l = step_duration
+        if self.mode == "emulated":  # an idle slice's score; a completion scores >= 1 / c0 > 0
             try:
                 top = score_emulated([StepStats(0, self.step_duration, 0, 0.0, 0.0)] * i, self)
             except OverflowError:
                 top = [math.inf]
-            if not all(map(math.isfinite, top)):
+            if not all([0.0 < v < math.inf for v in top]):  # NaN fails both comparisons
                 raise ValueError("latency_weights, step_duration and ideal_scores give a latency "
-                                 f"term (w / step_duration) ** 1.1 / c0 outside float64: {top}")
+                                 f"term (w / step_duration) ** 1.1 / c0 outside (0, inf): {top}")
 
     __post_init__ = validate
 
@@ -203,16 +203,10 @@ def score_emulated(stats: list[StepStats], config: SliceConfig) -> list[float]:
 
 
 def utility(scores: Array) -> float:
-    """Product of per-slice scores (the step reward).
-
-    Fewer than eight scores are multiplied left to right as Python floats, which gives
-    ``np.prod``'s bits without its per-call cost; longer vectors go to ``np.prod``.
-    """
+    """Product of per-slice scores (the step reward), left to right on Python floats."""
     c = list(map(float, scores))
     if any(v <= 0.0 for v in c):
         warnings.warn("non-positive slice score: utility loses its product meaning")
-    if len(c) >= 8:
-        return float(np.prod(c))
     product = 1.0
     for v in c:
         product *= v
@@ -336,7 +330,7 @@ class SlicingEnv:
             demand_obs = [d / b for d in cfg.demands_at(t + 1).tolist()]
             info = {"k": k, "scores": scores}
         else:
-            stats = [tr.advance(x, self._rng) for tr, x in zip(self._traffic, split)]
+            stats = [tr.advance(t - 1, x, self._rng) for tr, x in zip(self._traffic, split)]
             scores = score_emulated(stats, cfg)
             latencies = [s.mean_latency / w for s, w in zip(stats, cfg.latency_weights.tolist())]
             scale = b * cfg.step_duration

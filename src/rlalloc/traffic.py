@@ -4,8 +4,8 @@ Three service shapes drive the emulated slicing mode:
 
 * ``video`` — a fixed-size file arrives once per cycle, split into equal
   chunks delivered on the first ``chunk_count`` steps of the cycle; a
-  completion flag is raised on the step the whole file finishes draining and
-  cleared at the next cycle start;
+  completion flag, derived from the step and the queue, is up from the step
+  the whole file finishes draining to the end of the cycle;
 * ``voice`` — one fixed-size packet every step;
 * ``chat`` — a Poisson number of packets per step with uniform random sizes.
 
@@ -143,7 +143,7 @@ class StepStats:
 
 
 class SliceTraffic:
-    """One slice's arrival process plus its queue, advanced step by step."""
+    """One slice's arrival process plus its queue, its only state: the caller passes the step."""
 
     def __init__(self, profile: ServiceProfile, step_duration: float = 1.0):
         if step_duration <= 0:
@@ -151,18 +151,11 @@ class SliceTraffic:
         self.profile = profile
         self.step_duration = float(step_duration)
         self.queue = FluidQueue()
-        self._step = 0
-        self._last_chunk_step = -1  # arrival step of the current file's last chunk
-        self._video_flag = 0
 
-    def _arrivals(self, rng: np.random.Generator) -> list[float]:
+    def _arrivals(self, step: int, rng: np.random.Generator) -> list[float]:
         p = self.profile
         if p.kind == "video":
-            pos = self._step % p.cycle_length
-            if pos == 0:
-                self._last_chunk_step = self._step + p.chunk_count - 1
-                self._video_flag = 0
-            return [p.file_size / p.chunk_count] if pos < p.chunk_count else []
+            return [p.file_size / p.chunk_count] if step % p.cycle_length < p.chunk_count else []
         if p.kind == "voice":
             return [p.packet_size]
         count = int(rng.poisson(p.mean_arrivals))
@@ -170,24 +163,23 @@ class SliceTraffic:
             return []
         return rng.uniform(p.size_min, p.size_max, size=count).tolist()
 
-    def advance(self, bandwidth: float, rng: np.random.Generator) -> StepStats:
-        """Generate this step's arrivals, then drain at ``bandwidth``."""
+    def advance(self, step: int, bandwidth: float, rng: np.random.Generator) -> StepStats:
+        """Generate the arrivals of 0-based step ``step``, then drain at ``bandwidth``."""
         if not bandwidth >= 0:  # NaN fails this comparison too
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth}")
-        step = self._step
         arrived = 0.0
-        for size in self._arrivals(rng):
+        for size in self._arrivals(step, rng):
             self.queue.add(step, size)
             arrived += size
         done = self.queue.serve(bandwidth * self.step_duration)
-        # A slice queues only its own service, so the current file's last
-        # chunk is the one request that arrived on its step.
-        if self._last_chunk_step in done:
-            self._video_flag = 1
+        # A slice queues only its own service, nothing arrives after a file's last chunk in its
+        # cycle, and the queue is FIFO: once that chunk has come, it has drained iff none is left.
+        p = self.profile
+        flag = int(p.kind == "video" and step % p.cycle_length >= p.chunk_count - 1
+                   and not self.queue)
         if done:
             mean_latency = _mean([(step - arrival + 1) * self.step_duration for arrival in done])
         else:
             mean_latency = self.step_duration
-        self._step += 1
         # Positional: half the cost of keywords, on every step of every slice.
-        return StepStats(len(done), mean_latency, self._video_flag, arrived, self.queue.backlog)
+        return StepStats(len(done), mean_latency, flag, arrived, self.queue.backlog)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import errno
 import importlib.metadata
 import json
 import os
@@ -289,12 +290,14 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
           "agent": {"actor_hidden": [0]}}, "agent.actor_hidden: hidden layer sizes"),
         ({"scenario": "mec", "policy": "dqn", "env": "mec-small", "agent": {"hidden": [4, 2.0]}},
          "agent.hidden: hidden layer sizes"),
-        # An emulated score's latency term (w / step_duration) ** 1.1 / c0 outside float64.
+        # An emulated score's latency term (w / step_duration) ** 1.1 / c0 outside (0, inf);
+        # an underflow to 0 would score an idle slice, and so U, exactly 0.
         *(
             ({"scenario": "slicing", "policy": "sra", "env": dict(EMULATED_ENV, **{key: value})},
              "latency_weights, step_duration and ideal_scores give a latency term")
             for key, value in (("latency_weights", [1e308, 1.0, 1.0]),
-                               ("ideal_scores", [1e-308, 2.0, 2.0]))
+                               ("ideal_scores", [1e-308, 2.0, 2.0]),
+                               ("latency_weights", [1e-308, 1.0, 1.0]))
         ),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
@@ -316,7 +319,7 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "kind-list", "kind-dict", "kind-abc", "policy-with-eval-slots", "capacities-empty",
          "neighbors-empty", "sizes-empty", "k-min-empty", "demand-underflow", "sra-names-keys",
          "td3-hidden-zero", "dqn-hidden-fraction", "latency-term-overflow",
-         "emulated-ideal-score-underflow"],
+         "emulated-ideal-score-underflow", "latency-term-underflow"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)
@@ -431,6 +434,42 @@ def test_diverged_run_leaves_only_partial_file(tmp_path, monkeypatch, capsys):
     assert text.endswith("\n")
     # Training starts at step 2 (batch size 2), so the 3rd train call is step 4's.
     assert [json.loads(line)["step"] for line in text.splitlines()] == [1, 2, 3]
+
+
+def test_failed_write_exits_4_and_leaves_partial(sra_config, tmp_path, monkeypatch, capsys):
+    path_open = Path.open
+
+    class FullDisk:
+        """A records file whose third write finds the disk full."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(text)
+
+    def open_full(self, *args, **kwargs):
+        fh = path_open(self, *args, **kwargs)
+        return FullDisk(fh) if self.name.endswith(".partial") else fh
+
+    monkeypatch.setattr(Path, "open", open_full)
+    out = tmp_path / "m.jsonl"
+    assert cli.main(["run", "--config", str(sra_config), "--out", str(out)]) == 4
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err == f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
+    lines = (tmp_path / "m.jsonl.partial").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == [1, 2]
 
 
 @pytest.mark.parametrize("policy", ["sra", "td3"])

@@ -170,12 +170,12 @@ def test_a_break_in_the_stream_raises_and_writes_nothing(action_dim):
     for i in range(6):  # past one wrap
         buf.push(*make_transition(i, action_dim=action_dim))
     stored = {name: getattr(buf, name).copy() for name in STORAGE}
-    counters, last = (len(buf), buf._count), buf._last
+    counters = (len(buf), buf._count)
     state, action, reward, next_state = make_transition(6, action_dim=action_dim)
     for broken in (state + 0.5, np.zeros(3)):
         with pytest.raises(ValueError, match="previous push's next_state"):
             buf.push(broken, action, reward, next_state)
-        assert (len(buf), buf._count) == counters and buf._last is last
+        assert (len(buf), buf._count) == counters
         for name, before in stored.items():
             np.testing.assert_array_equal(getattr(buf, name), before)
     buf.push(state.copy(), action, reward, next_state)  # by value, the stream goes on

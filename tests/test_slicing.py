@@ -207,7 +207,7 @@ def test_score_emulated_formula():
 def test_scores_and_utility_equal_the_reference_bit_for_bit():
     rng = np.random.default_rng(34)
     for n in range(10_000):
-        i = int(rng.integers(1, 8))  # utility hands eight or more scores to np.prod
+        i = int(rng.integers(1, 13))  # utility multiplies any count left to right
         demands = rng.uniform(0.01, 2.0, i)
         k = rng.uniform(0.0, 2.5, i)
         if n % 3 == 1:

@@ -73,8 +73,8 @@ def test_queue_validates_inputs():
 def test_voice_arrives_every_step():
     tr = SliceTraffic(ServiceProfile.voice(packet_size=0.3), step_duration=0.5)
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        stats = tr.advance(bandwidth=1.0, rng=rng)
+    for step in range(10):
+        stats = tr.advance(step, bandwidth=1.0, rng=rng)
         assert stats.arrived == pytest.approx(0.3)
         assert stats.completed == 1
         # Served within the arrival step: latency is one step.
@@ -86,8 +86,8 @@ def test_video_cycle_chunks_and_completion_flag():
     tr = SliceTraffic(ServiceProfile.video(4.0, cycle_length=10, chunk_count=4))
     rng = np.random.default_rng(0)
     flags, arrived = [], []
-    for _ in range(20):
-        stats = tr.advance(bandwidth=1.0, rng=rng)
+    for step in range(20):
+        stats = tr.advance(step, bandwidth=1.0, rng=rng)
         flags.append(stats.video_flag)
         arrived.append(stats.arrived)
     # Chunk arrivals: steps 0-3 and 10-13.
@@ -103,8 +103,8 @@ def test_video_cycle_chunks_and_completion_flag():
 def test_video_flag_stays_zero_when_starved():
     tr = SliceTraffic(ServiceProfile.video(4.0, cycle_length=10, chunk_count=4))
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        stats = tr.advance(bandwidth=0.05, rng=rng)
+    for step in range(10):
+        stats = tr.advance(step, bandwidth=0.05, rng=rng)
         assert stats.video_flag == 0
 
 
@@ -113,7 +113,7 @@ def test_video_flag_ignores_an_earlier_files_last_chunk():
     # 14 steps, so its last chunk finishes on step 13, during file 1's cycle.
     tr = SliceTraffic(ServiceProfile.video(2.0, cycle_length=10, chunk_count=4))
     rng = np.random.default_rng(0)
-    stats = [tr.advance(bandwidth=0.15, rng=rng) for _ in range(20)]
+    stats = [tr.advance(step, bandwidth=0.15, rng=rng) for step in range(20)]
     finished = [t for t, s in enumerate(stats) if s.completed]
     assert finished[3] == 13
     assert [s.video_flag for s in stats] == [0] * 20
@@ -125,8 +125,8 @@ def test_latency_counts_queueing_steps():
     tr = SliceTraffic(ServiceProfile.video(2.0, cycle_length=10, chunk_count=1))
     rng = np.random.default_rng(0)
     latencies = []
-    for _ in range(4):
-        stats = tr.advance(bandwidth=0.5, rng=rng)
+    for step in range(4):
+        stats = tr.advance(step, bandwidth=0.5, rng=rng)
         if stats.completed:
             latencies.append(stats.mean_latency)
     assert latencies == [4.0]
@@ -138,9 +138,9 @@ def test_conservation_arrived_equals_served_plus_backlog():
     rng = np.random.default_rng(1)
     backlog_prev = 0.0
     total_in, total_out = 0.0, 0.0
-    for _ in range(500):
+    for step in range(500):
         bandwidth = rng.uniform(0.0, 0.8)
-        stats = tr.advance(bandwidth=bandwidth, rng=rng)
+        stats = tr.advance(step, bandwidth=bandwidth, rng=rng)
         # The fluid model: a step drains its budget, or everything queued if that is less.
         drained = min(bandwidth * 0.5, backlog_prev + stats.arrived)
         assert stats.backlog - backlog_prev == pytest.approx(stats.arrived - drained, abs=1e-9)
@@ -156,7 +156,7 @@ def test_chat_arrival_statistics():
     profile = ServiceProfile.chat(mean_arrivals=2.0, size_min=0.05, size_max=0.15)
     tr = SliceTraffic(profile)
     rng = np.random.default_rng(2)
-    arrived = [tr.advance(bandwidth=100.0, rng=rng).arrived for _ in range(4000)]
+    arrived = [tr.advance(step, bandwidth=100.0, rng=rng).arrived for step in range(4000)]
     per_step = np.array(arrived)
     # Mean data per step ~= mean_arrivals * mean_size = 2 * 0.1.
     assert np.mean(per_step) == pytest.approx(0.2, rel=0.05)
@@ -170,9 +170,9 @@ def test_step_duration_must_be_positive():
 def test_advance_rejects_negative_bandwidth():
     tr = SliceTraffic(ServiceProfile.voice(0.3))
     with pytest.raises(ValueError):
-        tr.advance(bandwidth=-1.0, rng=np.random.default_rng(0))
+        tr.advance(0, bandwidth=-1.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="^bandwidth must be non-negative, got nan$"):
-        tr.advance(bandwidth=float("nan"), rng=np.random.default_rng(0))
+        tr.advance(0, bandwidth=float("nan"), rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="^service budget must be non-negative, got nan$"):
         FluidQueue().serve(float("nan"))
 
