@@ -73,7 +73,8 @@ class DqnAgent:
         self.opt = adam_init(self.online, hp.learning_rate)
 
     def q_values(self, state: Array) -> Array:
-        return mlp_predict(self.online, np.asarray(state, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):  # select_action checks the values
+            return mlp_predict(self.online, np.asarray(state, dtype=float))
 
     def select_action(
         self, state: Array, mode: str, rng: np.random.Generator | None = None
@@ -84,15 +85,18 @@ class DqnAgent:
             return int(rng.integers(0, self.num_actions))
         if mode == "train" and rng.uniform() < self.hp.epsilon:
             return int(rng.integers(0, self.num_actions))
-        return int(np.argmin(self.q_values(state)))
+        q = self.q_values(state)
+        if not np.isfinite(q).all():
+            raise TrainingDiverged("action values are not finite")
+        return int(np.argmin(q))
 
     def train_step(self, batch: Batch) -> float:
         """One gradient step on the squared Bellman error; returns the loss."""
         n = len(batch)
-        q_next = mlp_predict(self.target, batch.next_states)
-        q_all = mlp_forward(self.online, batch.states)
         taken = batch.actions.astype(int)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+            q_next = mlp_predict(self.target, batch.next_states)
+            q_all = mlp_forward(self.online, batch.states)
             y = batch.rewards + self.hp.discount * q_next.min(axis=1)
             err = q_all[np.arange(n), taken] - y
             loss = float(np.mean(err**2))

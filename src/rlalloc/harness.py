@@ -145,16 +145,17 @@ def _hyperparams(config: ExperimentConfig) -> Td3Hyperparams | DqnHyperparams:
     return hp
 
 
-def _check_sizes(
-    hp: Td3Hyperparams | DqnHyperparams, state_dim: int, action_width: int, networks: dict
-) -> None:
+def _check_sizes(hp: Td3Hyperparams | DqnHyperparams, state_dim: int, action_width: int,
+                 networks: dict, one_hot: int = 0) -> None:
     """Reject a network or a replay buffer above ``SIZE_CEILING`` floats before allocating it.
 
-    ``networks`` maps each hidden-size key to that network's layer sizes.
+    ``networks`` maps each hidden-size key to that network's layer sizes; ``one_hot`` is the
+    number of observation entries the buffer keeps as bytes, a row of them per observation.
     """
     sizes = {f"agent.{key}": _flat_size(layers) for key, layers in networks.items()}
     c = hp.buffer_capacity  # c + 1 observations; per slot an action and a reward
-    sizes["agent.buffer_capacity"] = (c + 1) * state_dim + c * (action_width + 1)
+    row_bytes = 8 * (state_dim - one_hot) + (state_dim if one_hot else 0)
+    sizes["agent.buffer_capacity"] = ((c + 1) * row_bytes + 8 * c * (action_width + 1)) // 8
     for key, floats in sizes.items():
         if floats > SIZE_CEILING:
             raise ConfigError(f"{key} needs {floats} floats, above the ceiling of {SIZE_CEILING}")
@@ -277,10 +278,10 @@ class _Mec(_Run):
         if config.policy != "rra":  # brute force (optimal, DQN's eval) searches within it
             self.catalog = mec_mod.action_catalog(env_cfg)
         if config.policy == "dqn":
-            s = env.observation_dim
-            _check_sizes(hp, s, 1, {"hidden": (s, *hp.hidden, len(self.catalog))})
+            s, hot = env.observation_dim, env.one_hot_positions
+            _check_sizes(hp, s, 1, {"hidden": (s, *hp.hidden, len(self.catalog))}, len(hot))
             self.agent = DqnAgent(s, len(self.catalog), hp, rng=self.streams["init"])
-            self.buffer = ReplayBuffer(hp.buffer_capacity, s)
+            self.buffer = ReplayBuffer(hp.buffer_capacity, s, one_hot=hot)
 
     def _outcome(self, t: int, obs: np.ndarray, mode: str, action: int | None) -> tuple:
         topology, arrivals = self.env.topology, self.env.current_arrivals

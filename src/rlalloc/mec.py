@@ -442,6 +442,7 @@ class MecEnv:
         keys = [(i, c) for i, rs in enumerate(routes) for c in (None, *rs, NOOP)]
         self._pos = {key: pos for pos, key in enumerate(keys)}
         self._latency_pos = [self._pos[i, None] for i in range(self.num_servers)]
+        self.one_hot_positions = [pos for (_, c), pos in self._pos.items() if c is not None]
         self._obs_dim = len(keys)
 
     @property

@@ -104,6 +104,10 @@ class SliceConfig:
             if not all([0.0 < v < math.inf for v in top]):  # NaN fails both comparisons
                 raise ValueError("latency_weights, step_duration and ideal_scores give a latency "
                                  f"term (w / step_duration) ** 1.1 / c0 outside (0, inf): {top}")
+            low = math.prod([min(v, 1.0 / c) for v, c in zip(top, self.ideal_scores.tolist())])
+            if not low > 0.0:  # each slice's lowest score: every step's utility is >= low
+                raise ValueError("latency_weights, step_duration and ideal_scores give a utility "
+                                 f"that underflows: the product of min(term, 1 / c0) is {low}")
 
     __post_init__ = validate
 

@@ -94,13 +94,13 @@ class Td3Agent:
         check_mode(mode, rng)
         if mode == "explore":
             return rng.uniform(-1.0, 1.0, size=self.action_dim)
-        action = mlp_predict(self.actor, np.asarray(state, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):  # acting raises below instead
+            action = mlp_predict(self.actor, np.asarray(state, dtype=float))
+        if not np.isfinite(action).all():
+            raise TrainingDiverged(f"action is not finite: {action.tolist()}")
         if mode == "train":
             action = action + rng.normal(0.0, self.hp.exploration_sigma, size=self.action_dim)
         return np.clip(action, -1.0, 1.0)
-
-    def _critic_input(self, states: Array, actions: Array) -> Array:
-        return np.hstack([states, actions])
 
     def train_step(self, batch: Batch) -> tuple[float, float | None]:
         """One gradient step on both critics, every d-th call also on the actor.
@@ -108,31 +108,26 @@ class Td3Agent:
         Returns (mean critic loss, actor loss or None when skipped). Raises
         :class:`TrainingDiverged` on a non-finite loss.
         """
-        hp = self.hp
-        n = len(batch)
-        states = batch.states
-        actions = batch.actions
-        rewards = batch.rewards[:, None]
-        next_states = batch.next_states
+        hp, n = self.hp, len(batch)
+        states, rewards, next_states = batch.states, batch.rewards[:, None], batch.next_states
 
         noise = np.clip(
             self._noise_rng.normal(0.0, hp.smoothing_sigma, size=(n, self.action_dim)),
             -hp.smoothing_clip,
             hp.smoothing_clip,
         )
-        next_actions = mlp_predict(self.actor_target, next_states)
-        next_actions = np.clip(next_actions + noise, -1.0, 1.0)
-        target_in = self._critic_input(next_states, next_actions)
-        q1_t = mlp_predict(self.critic1_target, target_in)
-        q2_t = mlp_predict(self.critic2_target, target_in)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite losses raise below
+            next_actions = np.clip(mlp_predict(self.actor_target, next_states) + noise, -1.0, 1.0)
+            target_in = np.hstack([next_states, next_actions])
+            q1_t = mlp_predict(self.critic1_target, target_in)
+            q2_t = mlp_predict(self.critic2_target, target_in)
             y = rewards + hp.discount * np.minimum(q1_t, q2_t)
 
-        critic_in = self._critic_input(states, actions)
+        critic_in = np.hstack([states, batch.actions])
         losses = []
         for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            q = mlp_forward(critic, critic_in)
             with np.errstate(over="ignore", invalid="ignore"):
+                q = mlp_forward(critic, critic_in)
                 err = q - y
                 loss = float(np.mean(err**2))
             if not np.isfinite(loss):
@@ -143,10 +138,9 @@ class Td3Agent:
 
         actor_loss: float | None = None
         if self.critic1_opt.step_count % hp.policy_delay == 0:  # critic 1 steps once a call
-            pi = mlp_forward(self.actor, states)
-            q_in = self._critic_input(states, pi)
-            q = mlp_forward(self.critic1, q_in)
             with np.errstate(over="ignore", invalid="ignore"):
+                pi = mlp_forward(self.actor, states)
+                q = mlp_forward(self.critic1, np.hstack([states, pi]))
                 actor_loss = float(-np.mean(q))
             if not np.isfinite(actor_loss):
                 raise TrainingDiverged(f"actor loss is not finite: {actor_loss}")

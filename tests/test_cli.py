@@ -299,6 +299,10 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
                                ("ideal_scores", [1e-308, 2.0, 2.0]),
                                ("latency_weights", [1e-308, 1.0, 1.0]))
         ),
+        # Every score positive, but their product, and so U, underflows to 0 on every step.
+        ({"scenario": "slicing", "policy": "sra",
+          "env": dict(EMULATED_ENV, ideal_scores=[1e200, 1e200, 1e200])},
+         "latency_weights, step_duration and ideal_scores give a utility that underflows"),
     ],
     ids=["optimal-emulated", "td3-momentum", "sra-infeasible", "dqn-hidden", "nan-demand",
          "latency-ref", "dqn-hidden-int", "td3-actor-hidden-int", "td3-critic-hidden-int",
@@ -319,7 +323,7 @@ UNIFORM = {"kind": "uniform", "low": [1.0] * 4, "high": [2.0] * 4}
          "kind-list", "kind-dict", "kind-abc", "policy-with-eval-slots", "capacities-empty",
          "neighbors-empty", "sizes-empty", "k-min-empty", "demand-underflow", "sra-names-keys",
          "td3-hidden-zero", "dqn-hidden-fraction", "latency-term-overflow",
-         "emulated-ideal-score-underflow", "latency-term-underflow"],
+         "emulated-ideal-score-underflow", "latency-term-underflow", "emulated-utility-underflow"],
 )
 def test_run_rejected_config_leaves_no_metrics_file(payload, named, tmp_path, capsys):
     config = write_config(tmp_path, "bad.json", payload)
@@ -494,22 +498,44 @@ def test_non_finite_reward_exits_2_and_leaves_only_partial(policy, tmp_path, cap
                    "reward inf\n")
 
 
-def test_huge_rewards_abort_training_without_a_numpy_warning(tmp_path):
-    # Rewards about 1e306: the critic loss overflows, and the run ends in exit 3 alone.
-    payload = {"scenario": "slicing", "policy": "td3", "total_steps": 40,
-               "env": dict(EMULATED_ENV, ideal_scores=[2e-102] * 3),
-               "agent": {"actor_hidden": [8], "critic_hidden": [8], "batch_size": 4,
-                         "buffer_capacity": 64}}
-    config = write_config(tmp_path, "huge-rewards.json", payload)
+def run_child(tmp_path, payload):
+    """``rlalloc run`` in a child without -W error, so that a warning would reach stderr."""
+    config = write_config(tmp_path, "config.json", payload)
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    child = subprocess.run(  # a child without -W error, so a warning would reach stderr
+    return subprocess.run(
         [sys.executable, "-m", "rlalloc.cli", "run", "--config", str(config),
          "--out", str(tmp_path / "m.jsonl")],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         capture_output=True, text=True,
     )
+
+
+def test_huge_rewards_abort_training_without_a_numpy_warning(tmp_path):
+    # Rewards about 1e306: the critic loss overflows, and the run ends in exit 3 alone.
+    child = run_child(tmp_path, {
+        "scenario": "slicing", "policy": "td3", "total_steps": 40,
+        "env": dict(EMULATED_ENV, ideal_scores=[2e-102] * 3),
+        "agent": {"actor_hidden": [8], "critic_hidden": [8], "batch_size": 4,
+                  "buffer_capacity": 64}})
     assert child.returncode == 3
     assert child.stderr == "training aborted: critic loss is not finite: inf\n"
+
+
+@pytest.mark.parametrize("policy, agent, loss", [
+    ("dqn", {"learning_rate": 1e308, "hidden": [8]}, "value"),
+    ("td3", {"actor_lr": 1e308, "critic_lr": 1e308, "actor_hidden": [8], "critic_hidden": [8]},
+     "critic"),
+], ids=["dqn", "td3"])
+def test_overflowing_forwards_abort_training_without_a_numpy_warning(policy, agent, loss,
+                                                                    tmp_path):
+    # The first Adam step leaves the weights finite but near +-1e308, so the next forward,
+    # acting or training, overflows; the loss check reports it, and nothing else is printed.
+    env = "mec-seven" if policy == "dqn" else "slicing-analytic"
+    child = run_child(tmp_path, {
+        "scenario": "mec" if policy == "dqn" else "slicing", "policy": policy, "env": env,
+        "total_steps": 40, "agent": dict(agent, exploration_steps=10, batch_size=4)})
+    assert child.returncode == 3
+    assert child.stderr == f"training aborted: {loss} loss is not finite: inf\n"
 
 
 def test_oracle_subcommand(sra_config, capsys):

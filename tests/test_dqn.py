@@ -162,6 +162,14 @@ def test_training_diverged_on_huge_rewards():
         agent.train_step(batch)
 
 
+def test_acting_on_overflowing_weights_diverges():
+    # Every hidden unit overflows to inf; mixed output weights make the values NaN or inf.
+    agent = DqnAgent(3, 4, tiny_hp(), rng=15)
+    agent.online.weights[0][...] = 1e308
+    with pytest.raises(TrainingDiverged, match="action values are not finite"):
+        agent.select_action(np.ones(3), "eval")
+
+
 def test_agent_init_is_deterministic():
     a = DqnAgent(3, 4, tiny_hp(), rng=20)
     b = DqnAgent(3, 4, tiny_hp(), rng=20)

@@ -258,6 +258,17 @@ def test_the_buffer_ceiling_counts_what_the_buffer_allocates(config, monkeypatch
     harness_mod._SCENARIOS[config.scenario](config)
 
 
+def test_a_mec_seven_replay_row_takes_97_bytes():
+    # Per observation row 7 float64 entries and a byte for each of the 41 entries, 34 of them
+    # one-hot; per slot an action and a reward. As float64s, a row would take 328 bytes.
+    capacity = 1000
+    config = replace(mec_config("dqn"), env=default_mec_config(),
+                     agent_overrides=dict(TINY_DQN, buffer_capacity=capacity))
+    buffer = harness_mod._Mec(config).buffer
+    stored = sum(a.nbytes for a in vars(buffer).values() if isinstance(a, np.ndarray))
+    assert stored <= (capacity + 1) * 97 + capacity * 16
+
+
 @pytest.mark.parametrize("name, steps", [("slicing-sra", 8000), ("mec-rra", 5000)])
 def test_baseline_run_takes_the_default_length_and_builds_no_hyperparameters(
     name, steps, tmp_path

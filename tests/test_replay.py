@@ -6,17 +6,24 @@ import pytest
 from rlalloc.replay import ReplayBuffer
 
 
-def make_transition(i, state_dim=3, action_dim=2):
+def observation(i, state_dim=3, one_hot=()):
+    """Observation i of one chained stream: i everywhere, i mod 2 in the one-hot entries."""
+    obs = np.full(state_dim, float(i))
+    obs[list(one_hot)] = i % 2
+    return obs
+
+
+def make_transition(i, state_dim=3, action_dim=2, one_hot=()):
     """Transition i of one chained stream: state i, next state i + 1."""
     return (
-        np.full(state_dim, float(i)),
+        observation(i, state_dim, one_hot),
         np.full(action_dim, float(i)) if action_dim else i,
         float(i),
-        np.full(state_dim, float(i) + 1.0),
+        observation(i + 1, state_dim, one_hot),
     )
 
 
-STORAGE = ("_obs", "_actions", "_rewards")
+STORAGE = ("_obs", "_bits", "_actions", "_rewards")
 
 
 def test_push_and_len():
@@ -116,6 +123,9 @@ def test_capacity_must_be_positive():
         ReplayBuffer(capacity=0, state_dim=1, action_dim=1)
 
 
+PAYLOAD_NAN = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes())[0]
+
+
 class TwoArrayReplay:
     """Reference layout: every transition's state and next state in their own rows."""
 
@@ -139,18 +149,25 @@ class TwoArrayReplay:
         return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
 
 
-@pytest.mark.parametrize("action_dim", [2, None])
-def test_batches_equal_the_two_array_layout_across_three_wraps(action_dim):
-    capacity, state_dim = 7, 3
-    buf = ReplayBuffer(capacity, state_dim, action_dim)
+@pytest.mark.parametrize("action_dim, one_hot", [(2, ()), (None, ()), (None, (0, 2, 3))],
+                         ids=["2", "None", "None-one-hot"])
+def test_batches_equal_the_two_array_layout_across_three_wraps(action_dim, one_hot):
+    capacity, state_dim = 7, 5
+    buf = ReplayBuffer(capacity, state_dim, action_dim, one_hot=one_hot)
     ref = TwoArrayReplay(capacity, state_dim, action_dim)
     rng = np.random.default_rng(5)
-    obs = rng.normal(size=state_dim)
+
+    def draw():  # the float64 entries: normals, 1.0, -0.0 and a NaN with a payload
+        obs = rng.choice([rng.normal(), 1.0, -0.0, PAYLOAD_NAN], size=state_dim)
+        obs[list(one_hot)] = rng.integers(0, 2, size=len(one_hot))
+        return obs
+
+    obs = draw()
     for k in range(3 * capacity):
         action = rng.normal(size=action_dim) if action_dim else int(rng.integers(0, 9))
-        reward, next_obs = float(rng.normal()), rng.normal(size=state_dim)
+        reward, next_obs = float(rng.normal()), draw()
         ref.push(obs, action, reward, next_obs)
-        # The same array (the fast path), an equal copy, or a list: all one stream.
+        # The same array, an equal copy, or a list: all one stream.
         state = (obs, obs.copy(), obs.tolist())[k % 3]
         buf.push(state, action, reward, next_obs)
         obs = next_obs
@@ -160,24 +177,36 @@ def test_batches_equal_the_two_array_layout_across_three_wraps(action_dim):
         expected = ref.sample(n, np.random.default_rng(k))
         got = (batch.states, batch.actions, batch.rewards, batch.next_states)
         for want, have in zip(expected, got):
-            assert have.dtype == want.dtype
-            np.testing.assert_array_equal(have, want)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("action_dim", [2, None])
-def test_a_break_in_the_stream_raises_and_writes_nothing(action_dim):
-    buf = ReplayBuffer(capacity=4, state_dim=3, action_dim=action_dim)
+def with_entry(obs, pos, value):
+    obs = obs.copy()
+    obs[pos] = value
+    return obs
+
+
+@pytest.mark.parametrize("action_dim, one_hot", [(2, ()), (None, ()), (None, (0, 2))],
+                         ids=["2", "None", "None-one-hot"])
+def test_a_break_in_the_stream_raises_and_writes_nothing(action_dim, one_hot):
+    buf = ReplayBuffer(capacity=4, state_dim=3, action_dim=action_dim, one_hot=one_hot)
     for i in range(6):  # past one wrap
-        buf.push(*make_transition(i, action_dim=action_dim))
+        buf.push(*make_transition(i, action_dim=action_dim, one_hot=one_hot))
     stored = {name: getattr(buf, name).copy() for name in STORAGE}
     counters = (len(buf), buf._count)
-    state, action, reward, next_state = make_transition(6, action_dim=action_dim)
-    for broken in (state + 0.5, np.zeros(3)):
-        with pytest.raises(ValueError, match="previous push's next_state"):
-            buf.push(broken, action, reward, next_state)
+    state, action, reward, next_state = make_transition(6, action_dim=action_dim, one_hot=one_hot)
+    stream, exact = "previous push's next_state", "one-hot entries must be exactly 0.0 or 1.0"
+    broken = [(state + 0.5, next_state, stream), (np.zeros(3), next_state, stream)]
+    if one_hot:  # only a one-hot entry differs; then values no byte can hold, either side
+        broken = [(with_entry(state, 2, 1.0 - state[2]), next_state, stream),
+                  *((with_entry(state, 0, bad), next_state, exact) for bad in (-0.0, 0.5, np.nan)),
+                  *((state, with_entry(next_state, 2, bad), exact) for bad in (-0.0, 0.5, np.nan))]
+    for bad_state, bad_next, message in broken:
+        with pytest.raises(ValueError, match=message):
+            buf.push(bad_state, action, reward, bad_next)
         assert (len(buf), buf._count) == counters
         for name, before in stored.items():
-            np.testing.assert_array_equal(getattr(buf, name), before)
+            assert getattr(buf, name).tobytes() == before.tobytes()
     buf.push(state.copy(), action, reward, next_state)  # by value, the stream goes on
     assert (len(buf), buf._count) == (4, 7)
 

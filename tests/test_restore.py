@@ -30,24 +30,32 @@ def copy_rng(source, target):
     target.bit_generator.state = source.bit_generator.state
 
 
-@pytest.mark.parametrize("omit", [None, "_count"])
-def test_replay_state_is_its_arrays_and_push_count(omit):
+@pytest.mark.parametrize("one_hot, omit", [((), None), ((), "_count"), ((0, 2), None),
+                                           ((0, 2), "_bits")],
+                         ids=["None", "_count", "one-hot-None", "one-hot-_bits"])
+def test_replay_state_is_its_arrays_and_push_count(one_hot, omit):
+    def observation(rng):  # 0.0 or 1.0 in the one-hot entries
+        obs = rng.normal(size=3)
+        obs[list(one_hot)] = rng.integers(0, 2, size=len(one_hot))
+        return obs
+
     rng = np.random.default_rng(0)
-    buf, obs = ReplayBuffer(7, 3, 2), rng.normal(size=3)
+    buf, obs = ReplayBuffer(7, 3, 2, one_hot=one_hot), observation(rng)
     for _ in range(10):  # past one wrap
-        next_obs = rng.normal(size=3)
+        next_obs = observation(rng)
         buf.push(obs, rng.normal(size=2), float(rng.normal()), next_obs)
         obs = next_obs
-    fresh = ReplayBuffer(7, 3, 2)
-    for name in ("_obs", "_actions", "_rewards"):
-        getattr(fresh, name)[...] = getattr(buf, name)
-    if omit is None:
+    fresh = ReplayBuffer(7, 3, 2, one_hot=one_hot)
+    for name in ("_obs", "_bits", "_actions", "_rewards"):
+        if name != omit:
+            getattr(fresh, name)[...] = getattr(buf, name)
+    if omit != "_count":
         fresh._count = buf._count
 
     def run(b):
         draw, state, out = np.random.default_rng(1), obs.copy(), []
         for _ in range(50):
-            next_state = draw.normal(size=3)
+            next_state = observation(draw)
             b.push(state, draw.normal(size=2), float(draw.normal()), next_state)
             batch = b.sample(5, draw)
             out.append(b"".join(a.tobytes() for a in vars(batch).values()))

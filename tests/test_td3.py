@@ -238,6 +238,14 @@ def test_training_diverged_on_huge_rewards():
         agent.train_step(batch)
 
 
+def test_acting_on_overflowing_weights_diverges():
+    # Every hidden unit overflows to inf; mixed output weights make tanh's input NaN.
+    agent = Td3Agent(3, 2, tiny_hp(), rng=0)
+    agent.actor.weights[0][...] = 1e308
+    with pytest.raises(TrainingDiverged, match="action is not finite"):
+        agent.select_action(np.ones(3), "eval")
+
+
 def test_agent_init_is_deterministic():
     a = Td3Agent(3, 2, tiny_hp(), rng=42)
     b = Td3Agent(3, 2, tiny_hp(), rng=42)
