@@ -17,14 +17,14 @@ its own and can finish the extra work within the slot
 the largest overflow wins, ties break toward the lowest source index. Rejected
 requests fall back to the core. The system metric is ``L(t) = max_i L_i``.
 
-One slot table, built once per slot, is the only code that applies this
-rule: each server's overflow, its local or core latency, and the offloads a
-target could accept; an offload's latency is computed where it is read.
-``evaluate_action`` resolves a joint choice against it. Baselines:
-``brute_force_optimal`` scores joint actions from the same table, each at the
-cost of a running max rather than an ``evaluate_action``, and skips the
-requests the table rejects, which cannot be the first minimum;
-``random_routing`` picks uniformly among each server's valid choices.
+The slot table is the only code that applies this rule: each server's
+overflow, its local or core latency, and the offloads a target could accept;
+an offload's latency is computed where it is read. Each call below builds its
+own table: ``evaluate_action`` (so each ``MecEnv.step``) resolves a joint
+choice against it; ``brute_force_optimal`` scores joint actions from it with a
+running max, skipping the requests it rejects (never the first minimum);
+``random_routing`` picks uniformly among each server's valid choices. So an
+``optimal`` or ``rra`` slot builds two, a ``dqn`` eval slot four (ROADMAP item 7).
 """
 
 from __future__ import annotations

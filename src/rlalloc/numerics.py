@@ -11,18 +11,19 @@ moments share that layout, so an update or a copy is a few whole-vector
 operations, applied in a fixed order, so results are bit-for-bit reproducible.
 
 Training allocates no large array once warm (and nothing here is thread-safe).
-Each ``Mlp`` owns one activation buffer per layer, grown to the largest batch
-seen, and keeps its latest ``mlp_forward``'s activations, input included;
-``mlp_gradients`` and ``mlp_input_gradient`` backpropagate that forward (they
-raise ``ValueError`` on a network that has had none). ``mlp_predict`` runs the
-same layers and leaves the network's buffers alone; callers get copies of
-outputs. All networks share three vectors, so memory does not grow with their
-count: [0] holds ``mlp_gradients``' result, valid until its next call; [1] and
-[2] are scratch for backprop's deltas, ``mlp_predict``'s layers and the
-``BLOCK``-element slices that ``adam_step``/``soft_update`` walk, so that the
-scratch does not grow with the parameter count either. Pass each
-``mlp_gradients`` result straight to ``adam_step``: a result kept past the next
-call keeps the old vector resident when that call grows it.
+Each ``Mlp`` has one activation buffer per layer, grown to the largest batch
+seen (``share_buffers`` gives networks of equal sizes one set), and keeps its
+latest ``mlp_forward``'s activations, input included; ``mlp_gradients`` and
+``mlp_input_gradient`` backpropagate that forward (they raise ``ValueError`` on
+a network that has had none, or whose buffers another has since run one in).
+``mlp_predict`` runs the same layers and leaves the network's buffers alone;
+callers get copies of outputs. All networks share three vectors, so memory does
+not grow with their count: [0] holds ``mlp_gradients``' result, valid until its
+next call; [1] and [2] are scratch for backprop's deltas, ``mlp_predict``'s
+layers and the ``BLOCK``-element slices that ``adam_step``/``soft_update``
+walk, so that the scratch does not grow with the parameter count either. Pass
+each ``mlp_gradients`` result straight to ``adam_step``: a result kept past the
+next call keeps the old vector resident when that call grows it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def _layer_views(flat: Array, sizes: tuple[int, ...]) -> tuple[list[Array], list
     return weights, biases
 
 
+class _Buffers(list):  # one activation buffer per layer, perhaps shared by networks
+    latest: list[Array] = []  # the last forward's activations; cleared, never appended to
+
+
 class Mlp:
     """Parameters of a fully-connected network, stored in ``flat``.
 
@@ -71,7 +76,7 @@ class Mlp:
         self.flat = flat
         self.output_activation = output_activation
         self.weights, self.biases = _layer_views(flat, self.layer_sizes)
-        self._acts: list[Array] = []  # activation buffers; see the module docstring
+        self._acts = _Buffers()  # see the module docstring
         self._forward: list[Array] = []  # the latest mlp_forward's activations, input first
 
     @property
@@ -171,10 +176,16 @@ def mlp_forward(mlp: Mlp, x: Array) -> Array:
     """
     a, squeeze = _as_batch(x, mlp.in_dim, "input")
     if not mlp._acts or mlp._acts[0].shape[0] < a.shape[0]:
-        mlp._acts = [np.empty((a.shape[0], size)) for size in mlp.layer_sizes[1:]]
-    mlp._forward = _layers(mlp, a, lambda l, n: mlp._acts[l][:n])
+        mlp._acts[:] = [np.empty((a.shape[0], size)) for size in mlp.layer_sizes[1:]]
+    mlp._acts.latest.clear()  # the forward the buffers held, perhaps another network's, is gone
+    mlp._acts.latest = mlp._forward = _layers(mlp, a, lambda l, n: mlp._acts[l][:n])
     y = mlp._forward[-1]
     return (y[0] if squeeze else y).copy()
+
+
+def share_buffers(mlp: Mlp, other: Mlp) -> None:
+    """Let ``mlp`` run its forwards in ``other``'s activation buffers (equal layer sizes)."""
+    mlp._acts = other._acts
 
 
 def mlp_predict(mlp: Mlp, x: Array) -> Array:
@@ -188,7 +199,7 @@ def _backprop(mlp: Mlp, grad_output: Array, w_grads, b_grads):
     """Fill ``w_grads``/``b_grads`` down to layer 0, or if None, return the input gradient."""
     acts = mlp._forward
     if not acts:
-        raise ValueError("the network has had no mlp_forward to backpropagate")
+        raise ValueError("no mlp_forward to backpropagate: none yet, or another's overwrote it")
     gy, squeeze = _as_batch(grad_output, mlp.out_dim, "grad_output")
     n = acts[0].shape[0]
     if gy.shape[0] != n:

@@ -29,6 +29,7 @@ from rlalloc.numerics import (
     mlp_init,
     mlp_input_gradient,
     mlp_predict,
+    share_buffers,
     soft_update,
 )
 from rlalloc.replay import Batch
@@ -80,6 +81,7 @@ class Td3Agent:
         self.actor = mlp_init(actor_sizes, "tanh", rng=init_rng)
         self.critic1 = mlp_init(critic_sizes, "linear", rng=init_rng)
         self.critic2 = mlp_init(critic_sizes, "linear", rng=init_rng)
+        share_buffers(self.critic2, self.critic1)  # each critic's backprop follows its forward
         self.actor_target = self.actor.copy()
         self.critic1_target = self.critic1.copy()
         self.critic2_target = self.critic2.copy()

@@ -3,9 +3,11 @@
 Each case mutates one starting config once: it drops a key, adds an unknown key, wraps a
 scalar in a list, or sets a value from a palette of bad values. The case goes through
 ``ExperimentConfig.from_dict``, then builds the run object (every check that can reject a
-config, no step) and ``oracle_report``. It must either pass, or raise a ``ConfigError`` whose
-message names the mutated key, or, for a rule that reads several fields, one of them. The
-suite turns every warning into an error, so an overflow that only warns fails too.
+config), ``oracle_report``, and steps the run in memory for up to ``STEPS`` steps; every
+record must be valid JSON, with no infinite or NaN figure. The case must either pass, raise
+``TrainingDiverged``, or raise a ``ConfigError`` whose message names the mutated key, or, for
+a rule that reads several fields, one of them. The suite turns every warning into an error,
+so an overflow that only warns fails too.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from rlalloc import harness
-from rlalloc.exceptions import ConfigError
+from rlalloc.exceptions import ConfigError, TrainingDiverged
 from rlalloc.harness import ENV_PRESETS, ExperimentConfig, oracle_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -24,6 +26,7 @@ PALETTE = ("abc", True, None, [], {}, [[1.0]], float("nan"), float("inf"), -floa
            1e308, -1, 0, 10**15, 1e-308)
 EXTREMES = (1e308, 1e-308)
 UNKNOWN = "bogus_key"
+STEPS = 100  # past step 64, where the default learners (batch 64) take their first train step
 
 # Fields that rules reading several fields tie together: a message may name any of them.
 _GROUPS = (
@@ -121,18 +124,24 @@ def _names(key: str) -> set[str]:
     return {key}.union(*(group for group in _GROUPS if key in group))
 
 
-def _outcome(payload: dict, oracle: bool) -> str | None:
-    """None if the config passes every check; the ConfigError's message otherwise.
+def _outcome(payload: dict, oracle: bool, steps: int = STEPS) -> str | None:
+    """None if the config passes every check and ``steps`` steps, or diverges; the
+    ConfigError's message otherwise.
 
-    An infinite or NaN figure in the oracle's report is an error: ``run`` would write it too.
+    An infinite or NaN figure in the oracle's report or in a record is an error: ``run``
+    would write it too.
     """
     try:
         config = ExperimentConfig.from_dict(payload)
-        harness._SCENARIOS[config.scenario](config)
-        if oracle:  # the report must be valid JSON: no infinite or NaN figure
+        run = harness._SCENARIOS[config.scenario](config)
+        if oracle:
             json.dumps(oracle_report(config, slots=3), allow_nan=False)
+        for _ in range(min(run.steps, steps)):
+            json.dumps(run.step(), allow_nan=False)
     except ConfigError as exc:
         return str(exc)
+    except TrainingDiverged:
+        pass
     return None
 
 
@@ -140,7 +149,7 @@ def _outcome(payload: dict, oracle: bool) -> str | None:
 def test_single_mutations_pass_or_name_their_key(start):
     payload = STARTS[start]
     # The slicing oracle rejects emulated demands whatever the mutation; skip it there.
-    oracle = _outcome(payload, oracle=True) is None
+    oracle = _outcome(payload, oracle=True, steps=0) is None
     assert _outcome(payload, oracle=False) is None, start
     failures = []
     for kind, path, value in _cases(payload, random.Random(f"{start}-fuzz")):

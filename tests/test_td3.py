@@ -307,16 +307,27 @@ def test_train_steps_peak_at_their_steady_rss():
 
 def test_targets_and_acting_keep_no_activation_buffers(monkeypatch):
     # Default networks, batch 64: target forwards and acting run through the shared scratch,
-    # and Adam and the soft update walk the parameters BLOCK elements at a time.
+    # Adam and the soft update walk the parameters BLOCK elements at a time, and the twin
+    # critics, whose forwards never overlap, share one set of activation buffers.
     monkeypatch.setattr(numerics, "_vectors", [np.empty(0)] * 3)
     agent = Td3Agent(9, 3, rng=0)
     batch = make_batch(np.random.default_rng(18), agent.hp.batch_size, 9, 3)
     agent.select_action(np.zeros(9), "eval")
-    for _ in range(2):
+    for _ in range(2 * agent.hp.policy_delay):
         agent.train_step(batch)
-    assert agent.critic1_opt.step_count == agent.hp.policy_delay  # the actor and the targets were updated
+    assert agent.critic1_opt.step_count == 2 * agent.hp.policy_delay  # the actor was updated twice
     for target in (agent.actor_target, agent.critic1_target, agent.critic2_target):
         assert target._acts == []
     widest = max(agent.hp.actor_hidden + agent.hp.critic_hidden)
     bound = max(BLOCK, agent.hp.batch_size * widest)
     assert numerics._vectors[1].size <= bound and numerics._vectors[2].size <= bound
+    networks = (agent.actor, agent.critic1, agent.critic2,
+                agent.actor_target, agent.critic1_target, agent.critic2_target)
+    buffers = {id(buf): buf for net in networks for buf in net._acts}
+    # The actor's 64 x (256 + 256 + 256 + 3) floats and one critic's 64 x (256 + 256 + 1).
+    assert sum(buf.nbytes for buf in buffers.values()) == 394_752 + 262_656
+    # Critic 2's forward overwrites critic 1's, so critic 1 has none left to backpropagate.
+    mlp_forward(agent.critic2, np.hstack([batch.states, batch.actions]))
+    for backprop in (numerics.mlp_gradients, numerics.mlp_input_gradient):
+        with pytest.raises(ValueError, match="no mlp_forward"):
+            backprop(agent.critic1, np.ones((agent.hp.batch_size, 1)))
