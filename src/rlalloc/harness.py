@@ -22,14 +22,8 @@ Without ``total_steps`` a run takes ``RUN_STEPS[scenario]`` steps, and a learner
 Metrics are one JSON object per line, built from plain JSON values. The first
 ``total_steps`` records have ``phase: "train"``; a learner's greedy
 ``eval_slots`` follow with ``phase: "eval"``, no training and null losses.
-
-- Slicing: ``step, phase, k, c, U, mode, policy, B, action, U_greedy,
-  critic_loss, actor_loss``. ``action`` is TD3's raw action (null for SRA and
-  water-filling). ``U_greedy`` is what TD3's greedy action scores on the
-  step's demands; it is null on emulated TD3 train steps and ``U`` otherwise.
-- Offloading: ``slot, phase, action, L, L_max, policy, effective, arrivals,
-  loss``; DQN adds ``action_index, epsilon``, and eval slots add ``L_rra,
-  L_opt``: random routing and the brute-force optimum on the same arrivals.
+``_RECORDS`` declares each scenario's objective and record keys in write order, with the rule
+each value must pass and the policies or phase that alone carry a key; readers check each record.
 
 A run is one object (``_Slicing`` or ``_Mec``) holding its whole state; building it runs
 every check that can reject the config, and each ``step()`` returns one record. Only
@@ -45,6 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -55,7 +50,8 @@ from rlalloc import mec as mec_mod
 from rlalloc import slicing as slicing_mod
 from rlalloc.dqn import DqnAgent, DqnHyperparams
 from rlalloc.exceptions import (
-    OBJECT, ConfigError, check_fields, config_from_dict, count, is_real, one_of, spec,
+    OBJECT, UNIT, ConfigError, Rule, _must, check_fields, config_from_dict, count, one_of, real,
+    spec,
 )
 from rlalloc.mec import MecConfig, MecEnv
 from rlalloc.numerics import _flat_size
@@ -128,7 +124,7 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {p}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-        except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:  # nested too deep, or 4300+ digits
             raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         return cls.from_dict(payload)
 
@@ -373,44 +369,57 @@ def load_metrics(path: str | Path) -> list[dict]:
         raise ConfigError(f"cannot read metrics file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"metrics file {path}, line {n}: not valid JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"metrics file {path}, line {n}: nested too deeply to read") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an integer of 4300+ digits
+        raise ConfigError(f"metrics file {path}, line {n}: cannot be read ({exc})") from exc
     return records
 
 
-# Scenario -> its objective key and the keys that compare, plot and the run summary read.
-_SCHEMAS = {"slicing": ("U", {"step", "k", "c", "U", "B"}),
-            "mec": ("L_max", {"slot", "phase", "L_max"})}
-# Key -> a check that its value, where present, must pass, and what the check asks for.
-_number, _string = (is_real, "a number"), (lambda v: isinstance(v, str), "a string")
-_numbers = (lambda v: isinstance(v, list) and all(map(is_real, v)), "a list of numbers")
-_VALUES = {"step": _number, "slot": _number, "U": _number, "L_max": _number, "B": _number,
-           "k": _numbers, "c": _numbers, "phase": _string, "policy": _string}
+_NUMBER = real(lambda v: abs(v) <= sys.float_info.max, "be a finite number")  # no float is 10**400
+_NUMBERS = Rule(lambda v: isinstance(v, list) and all(map(_NUMBER.test, v)),
+                _must("be a list of finite numbers"))
+_OPTIONAL = Rule(lambda v: v is None or _NUMBER.test(v), _must("be null or a finite number"))
+# Scenario -> (objective key, {key: (value rule, *the policies or phase that alone carry it)})
+_RECORDS = {
+    "slicing": ("U", {
+        "step": (count(1),), "phase": (one_of(("train", "eval")),), "k": (_NUMBERS,),
+        "c": (_NUMBERS,), "U": (_NUMBER,), "mode": (one_of(("analytic", "emulated")),),
+        "policy": (one_of(SLICING_POLICIES),),
+        "B": (real(lambda v: 0 < v <= sys.float_info.max, "be positive and finite"),),
+        "action": (Rule(lambda v: v is None or _NUMBERS.test(v),
+                        _must("be null or a list of finite numbers")),),
+        "U_greedy": (_OPTIONAL,), "critic_loss": (_OPTIONAL,), "actor_loss": (_OPTIONAL,)}),
+    "mec": ("L_max", {
+        "slot": (count(1),), "phase": (one_of(("train", "eval")),), "action": (_NUMBERS,),
+        "L": (_NUMBERS,), "L_max": (_NUMBER,), "policy": (one_of(MEC_POLICIES),),
+        "effective": (_NUMBERS,), "arrivals": (_NUMBERS,), "loss": (_OPTIONAL,),
+        "action_index": (count(0), "dqn"), "epsilon": (UNIT, "dqn"), "L_rra": (_NUMBER, "eval"),
+        "L_opt": (_NUMBER, "eval")}),
+}
+
+
+def _record_problem(record: object, scenario: str) -> str | None:
+    """Why ``record`` is not a ``scenario`` record as ``_RECORDS`` declares it, or None."""
+    record, keys = record if isinstance(record, dict) else {}, _RECORDS[scenario][1]
+    for key, (rule, *carriers) in keys.items():  # policy and phase precede any key they select
+        carried = not carriers or record["policy"] in carriers or record["phase"] in carriers
+        if carried != (key in record):
+            return f"not a {scenario} record: key {key!r} is {'missing' if carried else 'extra'}"
+        if carried and not rule.test(record[key]):
+            return rule.message.format(name=repr(key), value=record[key])
+    unknown = sorted(record.keys() - keys.keys())
+    return f"not a {scenario} record: key {unknown[0]!r} is extra" if unknown else None
 
 
 def _read_metrics(path: str | Path) -> tuple[list[dict], str | None, str | None]:
-    """A metrics file's records, scenario and objective key (None and None if it is empty).
-
-    The first record's ``step`` or ``slot`` key names the scenario, and every record must
-    hold that scenario's keys, each value of the type in ``_VALUES``.
-    """
+    """A metrics file's records, each checked against ``_RECORDS``, scenario and objective key."""
     records = load_metrics(path)
     first = records[0] if records and isinstance(records[0], dict) else {}
     scenario = "slicing" if "step" in first else "mec" if "slot" in first else None
-    if scenario is not None:
-        objective, keys = _SCHEMAS[scenario]
-        for n, record in enumerate(records, 1):
-            if not (isinstance(record, dict) and keys <= record.keys()):
-                raise ConfigError(f"metrics file {path}, record {n}: not a {scenario} record "
-                                  f"(needs keys {sorted(keys)})")
-            for key, (ok, kind) in _VALUES.items():
-                if key in record and not ok(record[key]):
-                    raise ConfigError(f"metrics file {path}, record {n}: {key!r} must be {kind}, "
-                                      f"got {record[key]!r}")
-        return records, scenario, objective
-    if records:
-        raise ConfigError(f"metrics file {path} has an unknown schema (no 'step' or 'slot' key)")
-    return records, None, None
+    for n, record in enumerate(records, 1):
+        problem = _record_problem(record, scenario) if scenario else "no 'step' or 'slot' key"
+        if problem is not None:
+            raise ConfigError(f"metrics file {path}, record {n}: {problem}")
+    return records, scenario, _RECORDS[scenario][0] if records else None
 
 
 def final_window(values: list[float], fraction: float = 0.05) -> list[float]:
@@ -436,7 +445,7 @@ def compare(paths: list[str | Path]) -> dict:
         if not records:
             raise ConfigError(f"metrics file is empty: {path}")
         scenarios.add(scenario)
-        policy = records[0].get("policy", "unknown")
+        policy = records[0]["policy"]
         name, k = policy, 2
         while any(row["name"] == name for row in rows):
             name, k = f"{policy}#{k}", k + 1

@@ -302,9 +302,9 @@ def _resolve(topology: EdgeTopology, table: tuple, choices) -> SlotOutcome:
         raise ValueError(f"need one choice per server ({len(over)}), got {len(choices)}")
     requested: list[int] = []
     for i, raw in enumerate(choices):
-        c = int(raw)
-        if over[i] != 0.0 and c not in topology.routing_choices[i]:
-            raise ValueError(f"server {i} overflows: {c} is not in {topology.routing_choices[i]}")
+        c = operator.index(raw) if isinstance(raw, (int, np.integer)) else None
+        if c is None or over[i] != 0.0 and c not in topology.routing_choices[i]:
+            raise ValueError(f"server {i}: choice {raw!r} is not in {topology.routing_choices[i]}")
         requested.append(NOOP if over[i] == 0.0 else c)
     # A target accepts one acceptable request: the largest overflow, ties to the lowest source.
     accepted: dict[int, int] = {}
@@ -327,9 +327,9 @@ def evaluate_action(
 ) -> SlotOutcome:
     """Resolve one slot: validity, contention, and per-server latencies.
 
-    ``choices[i]`` is ``NOOP``, ``CORE``, or a neighbor id. Servers without
-    overflow are coerced to ``NOOP`` whatever was submitted; servers with
-    overflow must submit ``CORE`` or one of their neighbors.
+    ``choices[i]`` is ``NOOP``, ``CORE``, or a neighbor id: an integer, so 3.9 is an
+    error, not 3. Servers without overflow are coerced to ``NOOP`` whatever integer was
+    submitted; servers with overflow must submit ``CORE`` or one of their neighbors.
     """
     return _resolve(topology, _slot_table(topology, arrival_sizes), choices)
 

@@ -600,6 +600,9 @@ def test_compare_rows_use_their_deduplicated_names(sra_config, tmp_path, capsys)
     assert "  ratio sra#2/optimal = 0.4770" in lines
 
 
+DROP = object()  # a metrics_dir record key set to DROP is left out
+
+
 @pytest.fixture
 def metrics_dir(sra_config, tmp_path, capsys, monkeypatch):
     """Good and bad metrics files in a scratch directory that is also the working directory."""
@@ -616,10 +619,19 @@ def metrics_dir(sra_config, tmp_path, capsys, monkeypatch):
     (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\x00\x01\n")
     (tmp_path / "folder.jsonl").mkdir()
     (tmp_path / "empty.jsonl").write_text("")
-    for name, key, value in [("null-U", "U", None), ("text-U", "U", "a"),
-                             ("null-policy", "policy", None), ("text-k", "k", "zz")]:
-        bad = json.dumps({**json.loads(lines[2]), key: value})
-        (tmp_path / f"{name}.jsonl").write_text("\n".join(lines[:2] + [bad]) + "\n")
+    long_int = '{"step": ' + "9" * 5000 + "}"  # past the JSON reader's 4300 digits
+    (tmp_path / "long-int.jsonl").write_text("\n".join(lines[:2] + [long_int]) + "\n")
+    for source, name, changes in [
+        ("slicing", "null-U", {"U": None}), ("slicing", "text-U", {"U": "a"}),
+        ("slicing", "null-policy", {"policy": None}), ("slicing", "text-k", {"k": "zz"}),
+        ("slicing", "zero-B", {"B": 0}), ("slicing", "no-phase", {"phase": DROP}),
+        ("slicing", "extra-key", {"bogus": 1}), ("slicing", "nan-U", {"U": float("nan")}),
+        ("slicing", "huge-U", {"U": 10**400}), ("mec", "rra-epsilon", {"epsilon": 0.1}),
+        ("mec", "text-epsilon", {"policy": "dqn", "action_index": 0, "epsilon": "x"}),
+    ]:
+        good = (tmp_path / f"{source}.jsonl").read_text().splitlines()
+        record = {k: v for k, v in {**json.loads(good[2]), **changes}.items() if v is not DROP}
+        (tmp_path / f"{name}.jsonl").write_text("\n".join(good[:2] + [json.dumps(record)]) + "\n")
     mec_first = (tmp_path / "mec.jsonl").read_text().splitlines()[0]
     (tmp_path / "short-mec.jsonl").write_text(mec_first + "\n")
     monkeypatch.chdir(tmp_path)
@@ -648,12 +660,28 @@ def metrics_dir(sra_config, tmp_path, capsys, monkeypatch):
         (["plot", "--kind", "allocation", "text-k.jsonl"], "text-k.jsonl, record 3: 'k'"),
         (["plot", "--kind", "epsilon-sweep", "mec.jsonl", "short-mec.jsonl"],
          "mec.jsonl: 20, short-mec.jsonl: 1"),
+        (["plot", "--kind", "allocation", "zero-B.jsonl"],
+         "zero-B.jsonl, record 3: 'B' must be positive and finite, got 0"),
+        (["compare", "slicing.jsonl", "no-phase.jsonl"],
+         "no-phase.jsonl, record 3: not a slicing record: key 'phase' is missing"),
+        (["compare", "slicing.jsonl", "extra-key.jsonl"],
+         "extra-key.jsonl, record 3: not a slicing record: key 'bogus' is extra"),
+        (["compare", "slicing.jsonl", "nan-U.jsonl"], "nan-U.jsonl, record 3: 'U' must be"),
+        (["compare", "slicing.jsonl", "huge-U.jsonl"], "huge-U.jsonl, record 3: 'U' must be"),
+        (["compare", "slicing.jsonl", "long-int.jsonl"], "long-int.jsonl, line 3: cannot be read"),
+        (["plot", "--kind", "latency", "rra-epsilon.jsonl"],
+         "rra-epsilon.jsonl, record 3: not a mec record: key 'epsilon' is extra"),
+        (["plot", "--kind", "latency", "text-epsilon.jsonl"],
+         "text-epsilon.jsonl, record 3: 'epsilon' must lie in [0, 1], got 'x'"),
     ],
     ids=["compare-missing", "compare-directory", "compare-not-utf8", "compare-cut-line",
          "compare-unknown-schema", "compare-empty", "plot-missing", "plot-cut-line",
          "plot-unknown-schema", "allocation-of-mec", "latency-of-slicing", "sweep-of-slicing",
          "compare-null-number", "compare-text-number", "compare-null-policy",
-         "allocation-text-shares", "sweep-of-unequal-runs"],
+         "allocation-text-shares", "sweep-of-unequal-runs", "allocation-zero-bandwidth",
+         "compare-without-phase", "compare-unknown-key", "compare-nan-number",
+         "compare-huge-integer", "compare-integer-too-long", "latency-rra-with-epsilon",
+         "latency-text-epsilon"],
 )
 def test_bad_metrics_file_exits_2_and_writes_nothing(argv, named, metrics_dir, capsys):
     assert cli.main(argv) == 2
@@ -673,6 +701,7 @@ DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON reader's recursion limit
         (["oracle", "--config", "cfgdir"], "cfgdir"),
         (["run", "--config", "binary.json"], "binary.json"),
         (["run", "--config", "deep.json"], "deep.json"),
+        (["run", "--config", "long-int.json"], "long-int.json"),
         (["compare", "slicing.jsonl", "deep.jsonl"], "deep.jsonl, line 1"),
         (["run", "--config", "sra.json", "--out", "outdir"], "outdir"),
         (["run", "--config", "sra.json", "--out", "afile/x.jsonl"], "afile/x.jsonl"),
@@ -682,8 +711,8 @@ DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON reader's recursion limit
          "afile"),
     ],
     ids=["run-config-directory", "oracle-config-directory", "config-not-utf8",
-         "config-too-deep", "compare-metrics-too-deep", "run-out-directory",
-         "run-out-under-a-file", "plot-out-directory", "plot-out-under-a-file",
+         "config-too-deep", "config-integer-too-long", "compare-metrics-too-deep",
+         "run-out-directory", "run-out-under-a-file", "plot-out-directory", "plot-out-under-a-file",
          "sweep-out-dir-a-file"],
 )
 def test_unusable_input_or_output_path_exits_2_and_touches_nothing(argv, named, metrics_dir,
@@ -693,6 +722,7 @@ def test_unusable_input_or_output_path_exits_2_and_touches_nothing(argv, named, 
     (metrics_dir / "afile").write_text("")
     (metrics_dir / "binary.json").write_bytes(b"\xff\xfe")
     (metrics_dir / "deep.json").write_text(DEEP)
+    (metrics_dir / "long-int.json").write_text('{"seed": ' + "9" * 5000 + "}")
     (metrics_dir / "deep.jsonl").write_text(DEEP + "\n")
     listing = sorted(metrics_dir.rglob("*"))
     assert cli.main(argv) == 2

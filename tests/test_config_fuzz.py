@@ -4,7 +4,8 @@ Each case mutates one starting config once: it drops a key, adds an unknown key,
 scalar in a list, or sets a value from a palette of bad values. The case goes through
 ``ExperimentConfig.from_dict``, then builds the run object (every check that can reject a
 config), ``oracle_report``, and steps the run in memory for up to ``STEPS`` steps; every
-record must be valid JSON, with no infinite or NaN figure. The case must either pass, raise
+record must be valid JSON, with no infinite or NaN figure, and pass the per-record check that
+reading a metrics file makes (``harness._record_problem``). The case must either pass, raise
 ``TrainingDiverged``, or raise a ``ConfigError`` whose message names the mutated key, or, for
 a rule that reads several fields, one of them. The suite turns every warning into an error,
 so an overflow that only warns fails too.
@@ -129,7 +130,7 @@ def _outcome(payload: dict, oracle: bool, steps: int = STEPS) -> str | None:
     ConfigError's message otherwise.
 
     An infinite or NaN figure in the oracle's report or in a record is an error: ``run``
-    would write it too.
+    would write it too. So is a record that ``compare`` and ``plot`` would reject.
     """
     try:
         config = ExperimentConfig.from_dict(payload)
@@ -137,7 +138,9 @@ def _outcome(payload: dict, oracle: bool, steps: int = STEPS) -> str | None:
         if oracle:
             json.dumps(oracle_report(config, slots=3), allow_nan=False)
         for _ in range(min(run.steps, steps)):
-            json.dumps(run.step(), allow_nan=False)
+            record = json.loads(json.dumps(run.step(), allow_nan=False))
+            problem = harness._record_problem(record, config.scenario)
+            assert problem is None, f"record {run.t}: {problem}"
     except ConfigError as exc:
         return str(exc)
     except TrainingDiverged:

@@ -453,6 +453,42 @@ def test_run_object_steps_are_the_metrics_file_lines(cls, cfg_fn, policy, tmp_pa
     assert [json.dumps(r) for r in records] == lines[:k]
 
 
+def test_every_policy_and_phase_writes_the_records_the_table_declares():
+    """Each record of a short run of every policy matches ``_RECORDS`` exactly, key order too."""
+    runs = [slicing_config("td3", total_steps=8, eval_slots=2),
+            replace(slicing_config("td3", total_steps=8, eval_slots=2),
+                    env=default_emulated_config()),
+            slicing_config("sra", total_steps=3),
+            replace(slicing_config("sra", total_steps=3), env=default_emulated_config()),
+            slicing_config("optimal", total_steps=3),
+            mec_config("dqn", total_steps=8, eval_slots=2),
+            mec_config("rra", total_steps=3), mec_config("optimal", total_steps=3)]
+    seen = set()
+    for cfg in runs:
+        run = harness_mod._SCENARIOS[cfg.scenario](cfg)
+        keys = list(harness_mod._RECORDS[cfg.scenario][1])
+        for _ in range(run.steps):
+            record = json.loads(json.dumps(run.step()))
+            assert harness_mod._record_problem(record, cfg.scenario) is None, record
+            assert list(record) == [key for key in keys if key in record]
+            seen.add((cfg.scenario, record["policy"], record.get("mode"), record["phase"]))
+    assert seen == {
+        ("slicing", "td3", "analytic", "train"), ("slicing", "td3", "analytic", "eval"),
+        ("slicing", "td3", "emulated", "train"), ("slicing", "td3", "emulated", "eval"),
+        ("slicing", "sra", "analytic", "train"), ("slicing", "sra", "emulated", "train"),
+        ("slicing", "optimal", "analytic", "train"), ("mec", "dqn", None, "train"),
+        ("mec", "dqn", None, "eval"), ("mec", "rra", None, "train"),
+        ("mec", "optimal", None, "train"),
+    }
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "demo-output").rglob("*.jsonl")),
+                         ids=lambda p: p.name)
+def test_committed_traces_match_the_record_table(path):
+    records, scenario, _ = harness_mod._read_metrics(path)
+    assert records and scenario in harness_mod._RECORDS
+
+
 # ---------------------------------------------------------------------------
 # Post-processing
 

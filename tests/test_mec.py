@@ -237,6 +237,14 @@ def test_invalid_targets_raise():
         evaluate_action(config.topology, sizes, (7, CORE, NOOP, NOOP))  # not a server
     with pytest.raises(ValueError):
         evaluate_action(config.topology, sizes, (CORE, CORE, NOOP))  # wrong length
+    # Servers 0 and 1 overflow; a choice that is not an integer is an error, not truncated.
+    for choices, server in (((3.9, 2.2, NOOP, NOOP), 0), ((3, "2", NOOP, NOOP), 1),
+                            ((3, 2, NOOP, 0.5), 3)):
+        with pytest.raises(ValueError, match=f"server {server}: choice"):
+            evaluate_action(config.topology, sizes, choices)
+    numpy_ints = evaluate_action(config.topology, sizes, tuple(np.int64([3, 2, NOOP, NOOP])))
+    assert numpy_ints.requested == (3, 2, NOOP, NOOP)
+    assert all(type(c) is int for c in numpy_ints.requested + numpy_ints.effective)
 
 
 # ---------------------------------------------------------------------------

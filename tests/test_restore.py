@@ -11,6 +11,7 @@ import copy
 import numpy as np
 import pytest
 
+from rlalloc.dqn import DqnAgent, DqnHyperparams
 from rlalloc.mec import MecEnv, default_mec_config, random_routing
 from rlalloc.replay import Batch, ReplayBuffer
 from rlalloc.slicing import SlicingEnv, default_analytic_config, default_emulated_config
@@ -157,5 +158,37 @@ def test_td3_state_is_its_networks_adam_states_and_noise_rng(omit):
         draw = np.random.default_rng(13)
         out = [a.train_step(tiny_batch(draw)) for _ in range(2 * hp.policy_delay)]
         return out + [getattr(a, name).flat.tobytes() for name in NETWORKS]
+
+    assert_futures(agent, fresh, run, omit)
+
+
+@pytest.mark.parametrize("omit", [None, "target", "step_count"])
+def test_dqn_state_is_its_networks_and_adam_state(omit):
+    hp = DqnHyperparams(hidden=(8,), batch_size=4, buffer_capacity=16)
+    agent, batches = DqnAgent(3, 5, hp, rng=14), np.random.default_rng(15)
+
+    def dqn_batch(rng):
+        return Batch(states=rng.normal(size=(4, 3)), actions=rng.integers(0, 5, size=4),
+                     rewards=rng.normal(size=4), next_states=rng.normal(size=(4, 3)))
+
+    for _ in range(3):
+        agent.train_step(dqn_batch(batches))
+    agent.sync_target()
+    agent.train_step(dqn_batch(batches))  # the online network moves away from the target
+    fresh = DqnAgent(3, 5, hp, rng=16)
+    fresh.online.flat[:] = agent.online.flat
+    if omit != "target":
+        fresh.target.flat[:] = agent.target.flat
+    fresh.opt.m[:], fresh.opt.v[:] = agent.opt.m, agent.opt.v
+    if omit != "step_count":
+        fresh.opt.step_count = agent.opt.step_count
+
+    def run(a):
+        draw, out = np.random.default_rng(17), []
+        for k in range(50):
+            out.append(a.train_step(dqn_batch(draw)))
+            if k % 10 == 9:  # the harness syncs every target_sync_period slots
+                a.sync_target()
+        return out + [a.online.flat.tobytes(), a.target.flat.tobytes()]
 
     assert_futures(agent, fresh, run, omit)
